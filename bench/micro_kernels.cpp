@@ -22,6 +22,7 @@
 #include "bnn/layers.hpp"
 #include "bnn/network.hpp"
 #include "bnn/packed.hpp"
+#include "bnn/real_gemm.hpp"
 #include "common/bitvec.hpp"
 #include "common/config.hpp"
 #include "common/error.hpp"
@@ -459,26 +460,18 @@ void report_sharded_mapping_speedup() {
 // as a JSON artifact (json=path). mode=ci is the CI smoke: only the gate
 // shape (1024x1024, batch 64), asserting the tuned pick is at least
 // 1.15x the forced-portable kernel -- the empirical dispatch must never
-// regress below the floor a portable build would deliver. tune_cache=path
-// additionally saves the tuned table (the EB_TUNE_CACHE format) so CI can
-// upload it next to the matrix.
+// regress below the floor a portable build would deliver. Both modes end
+// with the real-GEMM row (report_real_gemm), which ci mode gates too.
+// tune_cache=path additionally saves the tuned table (the EB_TUNE_CACHE
+// format) so CI can upload it next to the matrix.
 
 constexpr std::size_t kMatrixRows = 1024;
 constexpr double kCiMinSpeedup = 1.15;
 
-// Min-of-reps time of one full batched sweep (all x rows against all
-// weight rows), with a calibrated inner iteration count so small shapes
-// are not noise-bound.
-double time_sweep_ns(eb::bnn::SweepXnorFn sweep, const eb::bnn::PackedMatrix& x,
-                     const eb::bnn::PackedMatrix& w) {
-  const std::size_t nw = w.words_per_row();
-  std::vector<std::uint32_t> out(w.rows());
-  const auto unit = [&] {
-    for (std::size_t i = 0; i < x.rows(); ++i) {
-      sweep(x.row_words(i), w.row_words(0), w.rows(), nw, out.data());
-    }
-    benchmark::DoNotOptimize(out.data());
-  };
+// Min-of-5 time of one call of `unit`, with a calibrated inner iteration
+// count so small shapes are not noise-bound.
+template <typename Unit>
+double time_min_ns(Unit&& unit) {
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
   unit();  // warmup + calibration probe
@@ -498,6 +491,87 @@ double time_sweep_ns(eb::bnn::SweepXnorFn sweep, const eb::bnn::PackedMatrix& x,
                               static_cast<double>(iters));
   }
   return best;
+}
+
+// One full batched sweep: all x rows against all weight rows.
+double time_sweep_ns(eb::bnn::SweepXnorFn sweep, const eb::bnn::PackedMatrix& x,
+                     const eb::bnn::PackedMatrix& w) {
+  const std::size_t nw = w.words_per_row();
+  std::vector<std::uint32_t> out(w.rows());
+  return time_min_ns([&] {
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      sweep(x.row_words(i), w.row_words(0), w.rows(), nw, out.data());
+    }
+    benchmark::DoNotOptimize(out.data());
+  });
+}
+
+// Real-GEMM row: every supported micro-kernel variant on MLP-L's fc1
+// (784 -> 1500) at batch 8. In ci mode
+// the dispatched variant must beat portable by kCiMinRealSpeedup; the gate
+// is skipped (and says so) when portable is the only supported variant.
+// Returns false when the gate fails.
+constexpr double kCiMinRealSpeedup = 1.5;
+
+bool report_real_gemm(bool ci) {
+  constexpr std::size_t kIn = 784;
+  constexpr std::size_t kOut = 1500;
+  constexpr std::size_t kBatch = 8;
+  eb::RngStream rng(0x7EA1);
+  std::vector<double> x(kBatch * kIn);
+  std::vector<double> w(kOut * kIn);
+  std::vector<double> bias(kOut);
+  for (auto* v : {&x, &w, &bias}) {
+    for (double& e : *v) {
+      e = rng.gaussian();
+    }
+  }
+  const eb::bnn::RealPanels panels(kOut, kIn, w.data(), bias.data());
+  std::vector<double> out(kBatch * kOut);
+  const eb::bnn::RealGemmVariant& dispatched =
+      eb::bnn::real_gemm_dispatched();
+  const double flops = 2.0 * kBatch * kIn * kOut;
+
+  std::printf("\n== real GEMM: %zu -> %zu, batch %zu (dispatched: %s) ==\n",
+              kIn, kOut, kBatch, dispatched.name);
+  double dispatched_ns = 0.0;
+  double portable_ns = 0.0;
+  for (const auto& v : eb::bnn::real_gemm_variants()) {
+    if (!v.supported) {
+      continue;
+    }
+    const double ns = time_min_ns([&] {
+      eb::bnn::real_gemm_bias(kBatch, x.data(), panels, out.data(), nullptr,
+                              v);
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    });
+    const bool is_dispatched = std::string_view(v.name) == dispatched.name;
+    if (is_dispatched) {
+      dispatched_ns = ns;
+    }
+    if (std::string_view(v.name) == "portable") {
+      portable_ns = ns;
+    }
+    std::printf("  %-16s %12.0f ns   %7.2f GFLOP/s%s\n", v.name, ns,
+                flops / ns, is_dispatched ? "   <- dispatched" : "");
+  }
+  if (!ci) {
+    return true;
+  }
+  if (std::string_view(dispatched.name) == "portable") {
+    std::printf(
+        "CI gate: real GEMM dispatched vs portable at 784->1500 batch 8: "
+        "SKIP (only the portable variant is supported on this CPU)\n");
+    return true;
+  }
+  const double speedup = portable_ns / dispatched_ns;
+  const bool ok = speedup >= kCiMinRealSpeedup;
+  std::printf(
+      "CI gate: real GEMM %s vs portable at 784->1500 batch 8: %.2fx "
+      "(floor %.2fx) -- %s\n",
+      dispatched.name, speedup, kCiMinRealSpeedup, ok ? "PASS" : "FAIL");
+  return ok;
 }
 
 int run_kernel_matrix(const std::string& mode, const std::string& json_path,
@@ -594,11 +668,9 @@ int run_kernel_matrix(const std::string& mode, const std::string& json_path,
         "\nCI gate: tuned dispatch vs forced-portable at 1024x1024 batch 64: "
         "%.2fx (floor %.2fx) -- %s\n",
         gate_speedup, kCiMinSpeedup, gate_ok ? "PASS" : "FAIL");
-    if (!gate_ok) {
-      return 1;
-    }
   }
-  return 0;
+  const bool real_ok = report_real_gemm(ci);
+  return gate_ok && real_ok ? 0 : 1;
 }
 
 int run_google_benchmarks(int argc, char** argv) {

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "bnn/binarize.hpp"
-#include "bnn/real_gemm.hpp"
 #include "common/error.hpp"
 
 namespace eb::bnn {
@@ -33,6 +32,8 @@ DenseLayer::DenseLayer(std::string name, Tensor weights, Tensor bias,
   EB_REQUIRE(weights_.rank() == 2, "dense weights must be [out, in]");
   EB_REQUIRE(bias_.size() == weights_.dim(0),
              "bias length must match output count");
+  panels_ = RealPanels(weights_.dim(0), weights_.dim(1), weights_.data(),
+                       bias_.data());
 }
 
 DenseLayer DenseLayer::random(std::string name, std::size_t in,
@@ -72,8 +73,7 @@ std::vector<Tensor> DenseLayer::forward_batch(std::span<const Tensor> xs,
     }
   });
   std::vector<double> y(xs.size() * out_n);
-  real_gemm_bias(xs.size(), out_n, in, x.data(), weights_.data(),
-                 bias_.data(), y.data(), &pool);
+  real_gemm_bias(xs.size(), x.data(), panels_, y.data(), &pool);
   std::vector<Tensor> out(xs.size(), Tensor({out_n}));
   for (std::size_t i = 0; i < xs.size(); ++i) {
     std::memcpy(out[i].data(), y.data() + i * out_n,
@@ -192,6 +192,9 @@ Conv2dLayer::Conv2dLayer(std::string name, Conv2dGeom geom, Tensor weights,
                  weights_.dim(3) == geom_.kernel,
              "conv weight shape mismatch");
   EB_REQUIRE(bias_.size() == geom_.out_ch, "conv bias shape mismatch");
+  // [oc, ic, k, k] row-major == out_ch rows of in_ch * k * k values.
+  panels_ = RealPanels(geom_.out_ch, geom_.in_ch * geom_.kernel * geom_.kernel,
+                       weights_.data(), bias_.data());
 }
 
 Conv2dLayer Conv2dLayer::random(std::string name, Conv2dGeom geom,
@@ -286,10 +289,8 @@ std::vector<Tensor> Conv2dLayer::forward_batch(std::span<const Tensor> xs,
     }
   });
 
-  // weights_ is [oc, ic, k, k] row-major == out_ch rows of `patch` values.
   std::vector<double> y(xs.size() * windows * geom_.out_ch);
-  real_gemm_bias(xs.size() * windows, geom_.out_ch, patch, cols.data(),
-                 weights_.data(), bias_.data(), y.data(), &pool);
+  real_gemm_bias(xs.size() * windows, cols.data(), panels_, y.data(), &pool);
 
   std::vector<Tensor> out(xs.size(), Tensor({geom_.out_ch, oh, ow}));
   pool.parallel_for(0, xs.size(), 1, [&](std::size_t begin, std::size_t end) {
@@ -653,17 +654,22 @@ Tensor MaxPool2dLayer::forward(const Tensor& x) const {
   const std::size_t oh = x.dim(1) / pool_;
   const std::size_t ow = x.dim(2) / pool_;
   EB_REQUIRE(oh > 0 && ow > 0, "maxpool output would be empty in " + name_);
+  const std::size_t h = x.dim(1);
+  const std::size_t w = x.dim(2);
   Tensor y({ch, oh, ow});
+  double* dst = y.data();
   for (std::size_t c = 0; c < ch; ++c) {
+    const double* plane = x.data() + c * h * w;
     for (std::size_t i = 0; i < oh; ++i) {
       for (std::size_t j = 0; j < ow; ++j) {
-        double best = x.at({c, i * pool_, j * pool_});
+        const double* win = plane + i * pool_ * w + j * pool_;
+        double best = win[0];
         for (std::size_t di = 0; di < pool_; ++di) {
           for (std::size_t dj = 0; dj < pool_; ++dj) {
-            best = std::max(best, x.at({c, i * pool_ + di, j * pool_ + dj}));
+            best = std::max(best, win[di * w + dj]);
           }
         }
-        y.at({c, i, j}) = best;
+        *dst++ = best;
       }
     }
   }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bnn/packed.hpp"
+#include "bnn/real_gemm.hpp"
 #include "bnn/spec.hpp"
 #include "bnn/tensor.hpp"
 #include "common/bitvec.hpp"
@@ -55,8 +56,8 @@ class DenseLayer final : public Layer {
                                          Rng& rng);
 
   [[nodiscard]] Tensor forward(const Tensor& x) const override;
-  // One blocked real-valued GEMM over the whole batch (bit-identical to
-  // the per-sample loop; uses the batch dimension instead of one row).
+  // One register-tiled real-valued GEMM over the whole batch
+  // (bit-identical to the per-sample loop).
   [[nodiscard]] std::vector<Tensor> forward_batch(
       std::span<const Tensor> xs, ThreadPool& pool) const override;
   [[nodiscard]] LayerSpec spec() const override;
@@ -70,6 +71,7 @@ class DenseLayer final : public Layer {
   Tensor weights_;
   Tensor bias_;
   Precision precision_;
+  RealPanels panels_;  // weights_/bias_ in the GEMM's panel layout, built once
 };
 
 // Binarized dense layer. Expects +/-1 inputs (output of a Sign layer);
@@ -112,8 +114,8 @@ class Conv2dLayer final : public Layer {
                                           Precision precision, Rng& rng);
 
   [[nodiscard]] Tensor forward(const Tensor& x) const override;
-  // Real-valued im2col + one blocked GEMM across all windows of all
-  // samples (bit-identical to the per-sample loop).
+  // Real-valued im2col + one register-tiled GEMM across all windows of
+  // all samples (bit-identical to the per-sample loop).
   [[nodiscard]] std::vector<Tensor> forward_batch(
       std::span<const Tensor> xs, ThreadPool& pool) const override;
   [[nodiscard]] LayerSpec spec() const override;
@@ -129,6 +131,7 @@ class Conv2dLayer final : public Layer {
   Tensor weights_;
   Tensor bias_;
   Precision precision_;
+  RealPanels panels_;  // weights_/bias_ in the GEMM's panel layout, built once
 };
 
 // Binarized conv layer: kernels and activations in {-1,+1}, computed via

@@ -1,109 +1,290 @@
 #include "bnn/real_gemm.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 
-#include "bnn/autotune.hpp"
 #include "common/error.hpp"
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define EB_REAL_GEMM_X86 1
+#endif
 
 namespace eb::bnn {
 
 namespace {
 
-// Batch rows accumulated per weight-row pass. Each row keeps its own
-// k-ascending accumulator chain (bit-identity with the per-sample loop),
-// but the block's chains are mutually independent, so the CPU can keep
-// that many FMAs in flight instead of serializing on one chain's latency
-// -- and every weight load is reused block-many times from registers.
-// This is where batch amortization actually comes from: at m == 1 the
-// kernel degenerates to the single-chain per-sample speed, and the
-// serving layer's dynamic batching window is what turns request streams
-// into m > 1 calls. The width (2/4/8) is picked per shape class by the
-// Autotuner; see real_gemm.hpp.
+constexpr std::size_t kW = RealPanels::kWidth;
 
-// Fixed-width block so the row loops fully unroll: R accumulator chains,
-// each bias-first then k ascending -- exactly the per-sample order, so
-// results stay bit-identical to DenseLayer::forward for any batch shape.
-template <std::size_t R>
-void gemm_row_block(std::size_t i0, std::size_t n, std::size_t k,
-                    const double* x, const double* w, const double* bias,
-                    double* out) {
-  const double* xr[R];
+std::size_t panel_count(std::size_t n) { return (n + kW - 1) / kW; }
+
+// One R x P tile: R batch rows against P consecutive panels.
+struct Tile {
+  const double* x;     // first row; rows are k apart
+  const double* w;     // first panel; panels are k * kW apart
+  const double* bias;  // the P panels' bias lanes (contiguous)
+  double* out;         // first output of the first row; rows are n apart
+  std::size_t k;
+  std::size_t n;
+  std::size_t lanes;  // outputs of the tile that exist: P * kW except at
+                      // the last panel of a layer whose n % kW != 0
+};
+
+// Copies the first t.lanes values of each accumulator row to the output,
+// skipping the zero-padded lanes past n.
+template <std::size_t R, std::size_t L>
+void store_partial(const double (&vals)[R][L], const Tile& t) {
   for (std::size_t r = 0; r < R; ++r) {
-    xr[r] = x + (i0 + r) * k;
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    const double* wj = w + j * k;
-    const double b = bias != nullptr ? bias[j] : 0.0;
-    double acc[R];
-    for (std::size_t r = 0; r < R; ++r) {
-      acc[r] = b;
-    }
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const double wv = wj[kk];
-      for (std::size_t r = 0; r < R; ++r) {
-        acc[r] += xr[r][kk] * wv;
-      }
-    }
-    for (std::size_t r = 0; r < R; ++r) {
-      out[(i0 + r) * n + j] = acc[r];
-    }
+    std::memcpy(t.out + r * t.n, vals[r], t.lanes * sizeof(double));
   }
 }
 
-void gemm_rows(std::size_t r0, std::size_t r1, std::size_t n, std::size_t k,
-               const double* x, const double* w, const double* bias,
-               double* out, std::size_t block) {
-  std::size_t i0 = r0;
-  for (; i0 + block <= r1; i0 += block) {
-    switch (block) {  // validated by the entry points: 2, 4 or 8
-      case 2: gemm_row_block<2>(i0, n, k, x, w, bias, out); break;
-      case 4: gemm_row_block<4>(i0, n, k, x, w, bias, out); break;
-      default: gemm_row_block<8>(i0, n, k, x, w, bias, out); break;
+// Each ISA names its tile micro-kernel and its tile shapes: kMaxRows batch
+// rows at most, and panels(R) panels for an R-row block. Every tile lane
+// accumulates bias-first, k ascending, acc = acc + x * w (never fused).
+
+struct Portable {
+  static constexpr std::size_t kMaxRows = 4;
+  static constexpr std::size_t panels(std::size_t /*rows*/) { return 1; }
+
+  template <std::size_t R, std::size_t P>
+  static void tile(const Tile& t) {
+    constexpr std::size_t L = P * kW;
+    double acc[R][L];
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t l = 0; l < L; ++l) {
+        acc[r][l] = t.bias[l];
+      }
     }
+    for (std::size_t kk = 0; kk < t.k; ++kk) {
+      for (std::size_t p = 0; p < P; ++p) {
+        const double* wk = t.w + (p * t.k + kk) * kW;
+        for (std::size_t r = 0; r < R; ++r) {
+          const double xv = t.x[r * t.k + kk];
+          for (std::size_t l = 0; l < kW; ++l) {
+            acc[r][p * kW + l] = acc[r][p * kW + l] + xv * wk[l];
+          }
+        }
+      }
+    }
+    store_partial(acc, t);
   }
-  switch (r1 - i0) {  // remainder rows, still fixed-width specializations
-    case 1: gemm_row_block<1>(i0, n, k, x, w, bias, out); break;
-    case 2: gemm_row_block<2>(i0, n, k, x, w, bias, out); break;
-    case 3: gemm_row_block<3>(i0, n, k, x, w, bias, out); break;
-    case 4: gemm_row_block<4>(i0, n, k, x, w, bias, out); break;
-    case 5: gemm_row_block<5>(i0, n, k, x, w, bias, out); break;
-    case 6: gemm_row_block<6>(i0, n, k, x, w, bias, out); break;
-    case 7: gemm_row_block<7>(i0, n, k, x, w, bias, out); break;
-    default: break;  // 0: nothing left
+};
+
+#ifdef EB_REAL_GEMM_X86
+
+// GCC 12's avx512 headers expand maskless intrinsics through their masked
+// forms with an undefined pass-through operand, tripping a false-positive
+// -Wmaybe-uninitialized (GCC PR105593); silence it for these kernels only.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+// One zmm per panel. 8x2 and 4x4 keep 16 accumulators live, 2x8 and 1x8
+// stream more panels per broadcast for small batches.
+struct Avx512 {
+  static constexpr std::size_t kMaxRows = 8;
+  static constexpr std::size_t panels(std::size_t rows) {
+    return rows >= 8 ? 2 : rows == 4 ? 4 : 8;
   }
+
+  template <std::size_t R, std::size_t P>
+  __attribute__((target("avx512f"))) static void tile(const Tile& t) {
+    __m512d acc[R][P];
+    for (std::size_t p = 0; p < P; ++p) {
+      const __m512d b = _mm512_loadu_pd(t.bias + p * kW);
+      for (std::size_t r = 0; r < R; ++r) {
+        acc[r][p] = b;
+      }
+    }
+    for (std::size_t kk = 0; kk < t.k; ++kk) {
+      __m512d wv[P];
+      for (std::size_t p = 0; p < P; ++p) {
+        wv[p] = _mm512_loadu_pd(t.w + (p * t.k + kk) * kW);
+      }
+      for (std::size_t r = 0; r < R; ++r) {
+        const __m512d xv = _mm512_set1_pd(t.x[r * t.k + kk]);
+        for (std::size_t p = 0; p < P; ++p) {
+          acc[r][p] = _mm512_add_pd(acc[r][p], _mm512_mul_pd(xv, wv[p]));
+        }
+      }
+    }
+    if (t.lanes == P * kW) {
+      for (std::size_t r = 0; r < R; ++r) {
+        for (std::size_t p = 0; p < P; ++p) {
+          _mm512_storeu_pd(t.out + r * t.n + p * kW, acc[r][p]);
+        }
+      }
+      return;
+    }
+    double vals[R][P * kW];
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t p = 0; p < P; ++p) {
+        _mm512_storeu_pd(vals[r] + p * kW, acc[r][p]);
+      }
+    }
+    store_partial(vals, t);
+  }
+};
+
+#pragma GCC diagnostic pop
+
+// Two ymm halves per panel. Every shape keeps 8 accumulators, leaving
+// room in the 16 ymm registers for the weight rows and the broadcast.
+struct Avx2 {
+  static constexpr std::size_t kMaxRows = 4;
+  static constexpr std::size_t panels(std::size_t rows) { return 4 / rows; }
+
+  template <std::size_t R, std::size_t P>
+  __attribute__((target("avx2"))) static void tile(const Tile& t) {
+    constexpr std::size_t V = 2 * P;  // half-panel vectors per row
+    __m256d acc[R][V];
+    for (std::size_t v = 0; v < V; ++v) {
+      const __m256d b = _mm256_loadu_pd(t.bias + v * 4);
+      for (std::size_t r = 0; r < R; ++r) {
+        acc[r][v] = b;
+      }
+    }
+    for (std::size_t kk = 0; kk < t.k; ++kk) {
+      __m256d wv[V];
+      for (std::size_t p = 0; p < P; ++p) {
+        const double* wk = t.w + (p * t.k + kk) * kW;
+        wv[2 * p] = _mm256_loadu_pd(wk);
+        wv[2 * p + 1] = _mm256_loadu_pd(wk + 4);
+      }
+      for (std::size_t r = 0; r < R; ++r) {
+        const __m256d xv = _mm256_broadcast_sd(t.x + r * t.k + kk);
+        for (std::size_t v = 0; v < V; ++v) {
+          acc[r][v] = _mm256_add_pd(acc[r][v], _mm256_mul_pd(xv, wv[v]));
+        }
+      }
+    }
+    if (t.lanes == P * kW) {
+      for (std::size_t r = 0; r < R; ++r) {
+        for (std::size_t v = 0; v < V; ++v) {
+          _mm256_storeu_pd(t.out + r * t.n + v * 4, acc[r][v]);
+        }
+      }
+      return;
+    }
+    double vals[R][P * kW];
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t v = 0; v < V; ++v) {
+        _mm256_storeu_pd(vals[r] + v * 4, acc[r][v]);
+      }
+    }
+    store_partial(vals, t);
+  }
+};
+
+#endif  // EB_REAL_GEMM_X86
+
+// R rows from x/out against every panel, starting at panel p: as many
+// R x P tiles as fit, then the remainder (< P panels) with P/2, P/4, ...
+template <class Isa, std::size_t R, std::size_t P>
+void panel_sweep(const double* x, const RealPanels& w, double* out,
+                 std::size_t p) {
+  for (; p + P <= w.panels(); p += P) {
+    const Tile t{x,        w.panel(p), w.bias(p),
+                 out + p * kW, w.k(),  w.n(),
+                 std::min(P * kW, w.n() - p * kW)};
+    Isa::template tile<R, P>(t);
+  }
+  if constexpr (P > 1) {
+    panel_sweep<Isa, R, P / 2>(x, w, out, p);
+  }
+}
+
+// Rows [i, r1) in blocks of R, then the remainder (< R rows) with R/2,
+// R/4, ... -- the tile shape follows from the rows left, nothing is tuned.
+template <class Isa, std::size_t R>
+void row_sweep(std::size_t i, std::size_t r1, const double* x,
+               const RealPanels& w, double* out) {
+  for (; i + R <= r1; i += R) {
+    panel_sweep<Isa, R, Isa::panels(R)>(x + i * w.k(), w, out + i * w.n(), 0);
+  }
+  if constexpr (R > 1) {
+    row_sweep<Isa, R / 2>(i, r1, x, w, out);
+  }
+}
+
+template <class Isa>
+void gemm_rows(std::size_t r0, std::size_t r1, const double* x,
+               const RealPanels& w, double* out) {
+  row_sweep<Isa, Isa::kMaxRows>(r0, r1, x, w, out);
 }
 
 }  // namespace
 
-void real_gemm_bias_blocked(std::size_t m, std::size_t n, std::size_t k,
-                            const double* x, const double* w,
-                            const double* bias, double* out, std::size_t block,
-                            ThreadPool* pool) {
-  if (m == 0 || n == 0) {
-    return;  // empty batch / empty layer: nothing to write
+RealPanels::RealPanels(std::size_t n, std::size_t k, const double* w,
+                       const double* bias)
+    : n_(n),
+      k_(k),
+      data_(panel_count(n) * k * kW, 0.0),
+      bias_(panel_count(n) * kW, 0.0) {
+  EB_REQUIRE(n * k == 0 || w != nullptr, "RealPanels needs weights");
+  for (std::size_t p = 0; p < panels(); ++p) {
+    double* dst = data_.data() + p * k * kW;
+    const std::size_t lanes = std::min(kW, n - p * kW);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        dst[kk * kW + l] = w[(p * kW + l) * k + kk];
+      }
+    }
   }
-  EB_REQUIRE(block == 2 || block == 4 || block == 8,
-             "real GEMM row-block width must be 2, 4 or 8");
-  EB_REQUIRE(w != nullptr && out != nullptr, "real_gemm_bias needs w, out");
-  EB_REQUIRE(k == 0 || x != nullptr, "real_gemm_bias needs x when k > 0");
-  auto body = [&](std::size_t r0, std::size_t r1) {
-    gemm_rows(r0, r1, n, k, x, w, bias, out, block);
-  };
-  if (pool != nullptr && m > block) {
-    pool->parallel_for(0, m, block, body);
-  } else {
-    body(0, m);
+  if (bias != nullptr) {
+    std::copy(bias, bias + n, bias_.begin());
   }
 }
 
-void real_gemm_bias(std::size_t m, std::size_t n, std::size_t k,
-                    const double* x, const double* w, const double* bias,
-                    double* out, ThreadPool* pool) {
-  if (m == 0 || n == 0) {
-    return;
+const std::vector<RealGemmVariant>& real_gemm_variants() {
+  static const std::vector<RealGemmVariant> variants = [] {
+    std::vector<RealGemmVariant> v;
+#ifdef EB_REAL_GEMM_X86
+    v.push_back({"avx512", gemm_rows<Avx512>,
+                 __builtin_cpu_supports("avx512f") != 0});
+    v.push_back({"avx2", gemm_rows<Avx2>, __builtin_cpu_supports("avx2") != 0});
+#endif
+    v.push_back({"portable", gemm_rows<Portable>, true});
+    return v;
+  }();
+  return variants;
+}
+
+const RealGemmVariant& real_gemm_dispatched() {
+  static const RealGemmVariant& picked = [] () -> const RealGemmVariant& {
+    for (const RealGemmVariant& v : real_gemm_variants()) {
+      if (v.supported) {
+        return v;
+      }
+    }
+    return real_gemm_variants().back();  // portable is always supported
+  }();
+  return picked;
+}
+
+void real_gemm_bias(std::size_t m, const double* x, const RealPanels& w,
+                    double* out, ThreadPool* pool,
+                    const RealGemmVariant& variant) {
+  if (m == 0 || w.n() == 0) {
+    return;  // empty batch / empty layer: nothing to write
   }
-  real_gemm_bias_blocked(m, n, k, x, w, bias, out,
-                         Autotuner::instance().pick_real_block(m, n, k), pool);
+  EB_REQUIRE(variant.supported, std::string("real GEMM variant '") +
+                                    variant.name +
+                                    "' is not supported on this CPU");
+  EB_REQUIRE(out != nullptr, "real_gemm_bias needs out");
+  EB_REQUIRE(w.k() == 0 || x != nullptr, "real_gemm_bias needs x when k > 0");
+  // Row chunks of the widest tile, so only the last chunk has a remainder.
+  constexpr std::size_t kRowGrain = 8;
+  const auto body = [&](std::size_t r0, std::size_t r1) {
+    variant.rows(r0, r1, x, w, out);
+  };
+  if (pool != nullptr && m > kRowGrain) {
+    pool->parallel_for(0, m, kRowGrain, body);
+  } else {
+    body(0, m);
+  }
 }
 
 }  // namespace eb::bnn

@@ -1,11 +1,13 @@
-// Tests for the XNOR kernel registry (bnn/kernels.hpp) and the per-shape
-// autotuner (bnn/autotune.hpp): every supported candidate must be
-// bit-identical to the portable reference on adversarial shapes (vector
-// tails, nonzero pad bits, 1-row/1-col degenerates, batch 1 vs 64), the
+// Tests for the XNOR kernel registry (bnn/kernels.hpp), the real-GEMM
+// micro-kernel variants (bnn/real_gemm.hpp) and the per-shape autotuner
+// (bnn/autotune.hpp): every supported candidate must be bit-identical to
+// its reference on adversarial shapes (vector tails, nonzero pad bits,
+// tile remainders, 1-row/1-col degenerates, batch 1 vs 64), the
 // EB_KERNEL / EB_TUNE_CACHE knobs must parse strictly, and the tuned
 // table must round-trip through its JSON cache format.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -210,50 +212,90 @@ TEST(KernelIdentity, ForcedGemmMatchesTunedForEveryKernelAndThreadCount) {
   }
 }
 
-TEST(KernelIdentity, RealGemmBlockWidthsAreBitIdentical) {
-  const std::size_t m = 13;
-  const std::size_t n = 17;
-  const std::size_t k = 229;
+// Every supported real-GEMM micro-kernel must reproduce the per-sample
+// scalar loop bit for bit (bias first, k ascending, acc = acc + x * w with
+// two roundings) on tile and panel remainders, k = 0, with and without
+// bias, serial and pooled.
+TEST(KernelIdentity, EveryRealGemmVariantMatchesScalarLoopBitForBit) {
   RngStream rng(0x417);
-  std::vector<double> x(m * k);
-  std::vector<double> w(n * k);
-  std::vector<double> bias(n);
-  for (auto& v : x) {
-    v = rng.gaussian();
-  }
-  for (auto& v : w) {
-    v = rng.gaussian();
-  }
-  for (auto& v : bias) {
-    v = rng.gaussian();
-  }
   ThreadPool pool4(4);
-  std::vector<double> want(m * n);
-  real_gemm_bias_blocked(m, n, k, x.data(), w.data(), bias.data(), want.data(),
-                         2, nullptr);
-  for (const std::size_t block : {2u, 4u, 8u}) {
-    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool4}) {
-      std::vector<double> got(m * n, -1.0);
-      real_gemm_bias_blocked(m, n, k, x.data(), w.data(), bias.data(),
-                             got.data(), block, pool);
-      EXPECT_EQ(got, want) << "block=" << block;  // exact, not approximate
+  for (const std::size_t k : {0u, 1u, 49u, 784u}) {
+    for (const std::size_t n : {1u, 7u, 8u, 9u, 10u, 1500u}) {
+      std::vector<double> w(n * k);
+      std::vector<double> bias(n);
+      for (auto& v : w) {
+        v = rng.gaussian();
+      }
+      for (auto& v : bias) {
+        v = rng.gaussian();
+      }
+      for (const bool with_bias : {true, false}) {
+        const RealPanels panels(n, k, w.data(),
+                                with_bias ? bias.data() : nullptr);
+        for (const std::size_t m : {1u, 2u, 3u, 7u, 8u, 9u, 17u, 64u}) {
+          std::vector<double> x(m * k);
+          for (auto& v : x) {
+            v = rng.gaussian();
+          }
+          std::vector<double> want(m * n);
+          for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+              double acc = with_bias ? bias[j] : 0.0;
+              for (std::size_t kk = 0; kk < k; ++kk) {
+                acc += x[i * k + kk] * w[j * k + kk];
+              }
+              want[i * n + j] = acc;
+            }
+          }
+          for (const auto& variant : real_gemm_variants()) {
+            if (!variant.supported) {
+              continue;
+            }
+            for (ThreadPool* pool :
+                 {static_cast<ThreadPool*>(nullptr), &pool4}) {
+              std::vector<double> got(m * n, -1.0);
+              real_gemm_bias(m, x.data(), panels, got.data(), pool, variant);
+              // Bit patterns, so a flipped zero sign counts too; report
+              // the first mismatch only.
+              for (std::size_t i = 0; i < got.size(); ++i) {
+                const auto got_bits = std::bit_cast<std::uint64_t>(got[i]);
+                const auto want_bits = std::bit_cast<std::uint64_t>(want[i]);
+                if (got_bits != want_bits) {
+                  EXPECT_EQ(got_bits, want_bits)
+                      << variant.name << " m=" << m << " n=" << n
+                      << " k=" << k << " bias=" << with_bias
+                      << " pool=" << (pool != nullptr) << " at " << i
+                      << ": " << got[i] << " vs " << want[i];
+                  break;
+                }
+              }
+            }
+          }
+        }
+      }
     }
   }
-  // The tuned entry point must agree too.
-  std::vector<double> tuned(m * n, -1.0);
-  real_gemm_bias(m, n, k, x.data(), w.data(), bias.data(), tuned.data(),
-                 &pool4);
-  EXPECT_EQ(tuned, want);
 }
 
-TEST(KernelIdentity, RealGemmRejectsBadBlockWidth) {
-  double x = 1.0;
-  double w = 2.0;
-  double out = 0.0;
-  EXPECT_THROW(real_gemm_bias_blocked(1, 1, 1, &x, &w, nullptr, &out, 3),
-               Error);
-  EXPECT_THROW(real_gemm_bias_blocked(1, 1, 1, &x, &w, nullptr, &out, 16),
-               Error);
+TEST(KernelIdentity, RealGemmVariantsEndInPortableAndDispatchFirstSupported) {
+  const auto& variants = real_gemm_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_STREQ(variants.back().name, "portable");
+  EXPECT_TRUE(variants.back().supported);
+  for (const auto& v : variants) {
+    if (v.supported) {
+      EXPECT_STREQ(real_gemm_dispatched().name, v.name);
+      break;
+    }
+  }
+  for (const auto& v : variants) {
+    if (!v.supported) {
+      const RealPanels panels(1, 1, std::vector<double>{2.0}.data(), nullptr);
+      double x = 1.0;
+      double out = 0.0;
+      EXPECT_THROW(real_gemm_bias(1, &x, panels, &out, nullptr, v), Error);
+    }
+  }
 }
 
 // --------------------------------------------------------------- autotuner --
@@ -277,7 +319,7 @@ TEST(Autotune, PickPinsOneDecisionPerShapeClass) {
   EXPECT_EQ(tuner.table_size(), after_first + 1);
 }
 
-TEST(Autotune, WarmupPinsTheClassAndRealBlocksAreValid) {
+TEST(Autotune, WarmupPinsTheClass) {
   Autotuner& tuner = Autotuner::instance();
   const EnvGuard guard("EB_KERNEL");  // forced picks never pin entries
   unsetenv("EB_KERNEL");
@@ -291,10 +333,6 @@ TEST(Autotune, WarmupPinsTheClassAndRealBlocksAreValid) {
   EXPECT_EQ(entries[0].rows, 256u);
   EXPECT_EQ(entries[0].words, 16u);
   EXPECT_EQ(entries[0].batch, 8u);
-
-  const std::size_t block = tuner.pick_real_block(64, 1024, 1024);
-  EXPECT_TRUE(block == 2 || block == 4 || block == 8);
-  EXPECT_EQ(tuner.table_size(), 2u);
 }
 
 TEST(Autotune, ForcedKernelBypassesTheTable) {
@@ -329,7 +367,7 @@ TEST(Autotune, JsonRoundTripRestoresEveryEntry) {
   tuner.reinit_from_env();
   tuner.clear();
   tuner.warmup_xnor(128, 256, 4);
-  static_cast<void>(tuner.pick_real_block(8, 64, 512));
+  tuner.warmup_xnor(64, 512, 8);
   const std::string json = tuner.to_json();
   const auto before = tuner.table();
 
@@ -370,15 +408,27 @@ TEST(Autotune, CacheFileRoundTripAndMissingFile) {
 TEST(Autotune, MalformedOrAlienCacheEntriesAreHandled) {
   Autotuner& tuner = Autotuner::instance();
   tuner.clear();
-  // Unknown kernels / unknown families are skipped (cache portability
-  // across hosts and builds), not errors.
+  // Unknown kernels and legacy real-GEMM row-block picks (caches written
+  // before that GEMM stopped being tuned) are skipped, not errors; the
+  // xnor entries next to them still load.
   tuner.load_json(R"({"version": 1, "entries": [
     {"family": "xnor", "rows": 64, "words": 4, "batch": 1,
      "kernel": "sse42_imaginary"},
-    {"family": "real", "rows": 64, "words": 4, "batch": 1,
-     "kernel": "rb64"}
+    {"family": "real", "rows": 64, "words": 1024, "batch": 64,
+     "kernel": "rb8"},
+    {"family": "real", "rows": 16, "words": 512, "batch": 1,
+     "kernel": "rb2"},
+    {"family": "xnor", "rows": 64, "words": 4, "batch": 2,
+     "kernel": "portable"}
   ]})");
-  EXPECT_EQ(tuner.table_size(), 0u);
+  ASSERT_EQ(tuner.table_size(), 1u);
+  EXPECT_EQ(tuner.table()[0].family, "xnor");
+  EXPECT_EQ(tuner.table()[0].batch, 2u);
+  tuner.clear();
+  // An unknown family is not a legacy entry: it is rejected.
+  EXPECT_THROW(tuner.load_json(R"({"entries": [{"family": "fp16",
+    "rows": 1, "words": 1, "batch": 1, "kernel": "portable"}]})"),
+               Error);
   // Structurally broken JSON throws.
   EXPECT_THROW(tuner.load_json("not json at all"), Error);
   EXPECT_THROW(tuner.load_json(R"({"entries": [{"family": "xnor"}]})"), Error);

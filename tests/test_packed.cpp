@@ -272,15 +272,14 @@ TEST(RealGemm, MatchesNaiveTripleLoopAndIsThreadCountInvariant) {
       }
     }
 
+    const RealPanels panels(n, k, w.data(), bias.data());
     std::vector<double> serial(m * n);
-    real_gemm_bias(m, n, k, x.data(), w.data(), bias.data(), serial.data(),
-                   nullptr);
+    real_gemm_bias(m, x.data(), panels, serial.data(), nullptr);
     EXPECT_EQ(serial, want) << m << "x" << n << "x" << k;
 
     ThreadPool pool(3);
     std::vector<double> pooled(m * n);
-    real_gemm_bias(m, n, k, x.data(), w.data(), bias.data(), pooled.data(),
-                   &pool);
+    real_gemm_bias(m, x.data(), panels, pooled.data(), &pool);
     EXPECT_EQ(pooled, want) << m << "x" << n << "x" << k;
 
     // Without bias: pure product sum, again bit-exact vs the naive loop.
@@ -295,8 +294,8 @@ TEST(RealGemm, MatchesNaiveTripleLoopAndIsThreadCountInvariant) {
       }
     }
     std::vector<double> no_bias(m * n);
-    real_gemm_bias(m, n, k, x.data(), w.data(), nullptr, no_bias.data(),
-                   nullptr);
+    real_gemm_bias(m, x.data(), RealPanels(n, k, w.data(), nullptr),
+                   no_bias.data(), nullptr);
     EXPECT_EQ(no_bias, want_nb) << m << "x" << n << "x" << k;
   }
 }
@@ -320,6 +319,59 @@ TEST(BatchEquivalence, EmptyBatchYieldsEmptyResult) {
   const std::vector<Tensor> none;
   EXPECT_TRUE(dense.forward_batch(none, pool).empty());
   EXPECT_TRUE(conv.forward_batch(none, pool).empty());
+}
+
+// The real conv lowering (im2col with zero-filled padding taps, then the
+// panel GEMM) must reproduce Conv2dLayer::forward exactly: CNN-2's conv1
+// geometry, a padded one and a strided one.
+TEST(BatchEquivalence, Conv2dForwardBatchIsBitIdentical) {
+  Conv2dGeom cnn2_conv1;  // 1 -> 10 channels, 7x7, 28x28 input
+  cnn2_conv1.in_ch = 1;
+  cnn2_conv1.out_ch = 10;
+  cnn2_conv1.kernel = 7;
+  cnn2_conv1.in_h = 28;
+  cnn2_conv1.in_w = 28;
+  Conv2dGeom padded;
+  padded.in_ch = 3;
+  padded.out_ch = 9;
+  padded.kernel = 3;
+  padded.pad = 1;
+  padded.in_h = 7;
+  padded.in_w = 6;
+  Conv2dGeom strided;
+  strided.in_ch = 2;
+  strided.out_ch = 17;
+  strided.kernel = 3;
+  strided.stride = 2;
+  strided.in_h = 9;
+  strided.in_w = 11;
+  Rng rng(12);
+  for (const Conv2dGeom& g : {cnn2_conv1, padded, strided}) {
+    Tensor bias({g.out_ch});
+    for (std::size_t c = 0; c < g.out_ch; ++c) {
+      bias[c] = rng.uniform(-1.0, 1.0);
+    }
+    const Conv2dLayer layer(
+        "conv", g,
+        Tensor::random_uniform({g.out_ch, g.in_ch, g.kernel, g.kernel}, 1.0,
+                               rng),
+        bias, Precision::Int8);
+    std::vector<Tensor> xs;
+    for (std::size_t s = 0; s < 5; ++s) {
+      xs.push_back(Tensor::random_uniform({g.in_ch, g.in_h, g.in_w}, 1.0, rng));
+    }
+    ThreadPool pool(3);
+    const auto batched = layer.forward_batch(xs, pool);
+    ASSERT_EQ(batched.size(), xs.size());
+    for (std::size_t s = 0; s < xs.size(); ++s) {
+      const Tensor ref = layer.forward(xs[s]);
+      ASSERT_EQ(batched[s].shape(), ref.shape());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(batched[s][i], ref[i])
+            << "kernel " << g.kernel << " sample " << s << " elem " << i;
+      }
+    }
+  }
 }
 
 TEST(BatchEquivalence, BinaryDenseForwardBatchIsBitIdentical) {
