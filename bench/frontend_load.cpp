@@ -694,11 +694,11 @@ int main(int argc, char** argv) {
         rep.wire_r.errors + rep.inproc.errors);
   }
   const auto stats = frontend.stats();
-  std::printf("frontend: %zu conns, %zu req, %zu resp, %zu batched frames, "
-              "%zu dropped, %zu overflow kills, %zu stall kills\n",
+  std::printf("frontend: %zu conns, %zu req, %zu resp, %zu dropped, "
+              "%zu overflow kills, %zu stall kills\n",
               stats.connections, stats.requests, stats.responses,
-              stats.batched_frames, stats.dropped_responses,
-              stats.overflow_kills, stats.stall_kills);
+              stats.dropped_responses, stats.overflow_kills,
+              stats.stall_kills);
 
   const std::string json_path = cfg.get_string("json", "");
   if (!json_path.empty()) {

@@ -130,8 +130,6 @@ struct TcpFrontend::Shared {
   std::atomic<std::size_t> pings{0};
   std::atomic<std::size_t> stats_requests{0};
   std::atomic<std::size_t> admin_requests{0};
-  std::atomic<std::size_t> batched_frames{0};
-  std::atomic<std::size_t> chunked_responses{0};
   std::atomic<std::size_t> bytes_read{0};
   std::atomic<std::size_t> bytes_written{0};
   std::atomic<std::size_t> overflow_kills{0};
@@ -185,51 +183,39 @@ struct TcpFrontend::Connection
   bool reading = true;             ///< EPOLLIN armed.
   bool close_after_flush = false;  ///< Fatal frame seen: drain then close.
 
-  // -- capability latches / lifecycle flags ---------------------------
-  std::atomic<bool> batch_ok{false};   ///< Client sent kFlagAcceptBatch.
-  std::atomic<bool> stream_ok{false};  ///< Client sent kFlagAcceptStream.
+  // -- lifecycle flags -------------------------------------------------
   std::atomic<bool> read_eof{false};   ///< Peer half-closed its side.
   std::atomic<std::size_t> in_flight{0};  ///< Requests inside the gateway.
 
   // -- write side, under mu -------------------------------------------
-  /// `body` entries are bare response bodies the flusher may coalesce
-  /// into one type-3 batched frame; raw entries (error frames, chunk
-  /// frames, plain responses) are sent verbatim.
-  struct OutEntry {
-    bool body = false;
-    std::vector<std::uint8_t> bytes;
-  };
   std::mutex mu;
   bool open = true;
   bool arm_requested = false;  ///< Already queued on the loop's eventfd.
   bool want_write = false;     ///< EPOLLOUT armed (loop thread writes).
   bool kill = false;           ///< Write-queue overflow: close asap.
-  std::deque<OutEntry> outq;
+  std::deque<std::vector<std::uint8_t>> outq;  ///< Encoded frames.
   std::vector<std::uint8_t> wbuf;  ///< Staged bytes mid-send.
   std::size_t woff = 0;
   std::size_t out_bytes = 0;  ///< outq bytes + unsent wbuf bytes.
   Clock::time_point last_progress{};  ///< Last byte the socket took.
 
-  /// Appends encoded entries to the outbound queue and wakes the owning
-  /// loop when it is not already pending. Returns false once the
-  /// connection is closed (the caller counts a dropped response).
-  /// All entries land under one lock, so a chunked response's frames
-  /// stay contiguous even with concurrent completions on the socket.
-  bool enqueue(std::vector<OutEntry> entries) {
+  /// Appends one encoded frame to the outbound queue and wakes the
+  /// owning loop when it is not already pending. Counts the frame in
+  /// `responses`, or in `dropped_responses` once the connection is
+  /// closed.
+  void enqueue(std::vector<std::uint8_t> frame) {
     bool need_notify = false;
     {
       const std::lock_guard<std::mutex> lock(mu);
       if (!open) {
-        return false;
+        shared->dropped_responses.fetch_add(1, std::memory_order_relaxed);
+        return;
       }
-      const bool was_idle = out_bytes == 0;
-      for (auto& e : entries) {
-        out_bytes += e.bytes.size();
-        outq.push_back(std::move(e));
-      }
-      if (was_idle && out_bytes > 0) {
+      if (out_bytes == 0) {
         last_progress = Clock::now();
       }
+      out_bytes += frame.size();
+      outq.push_back(std::move(frame));
       if (!kill && out_bytes > shared->cfg.max_write_queue_bytes) {
         kill = true;
         shared->overflow_kills.fetch_add(1, std::memory_order_relaxed);
@@ -242,10 +228,10 @@ struct TcpFrontend::Connection
         need_notify = true;
       }
     }
+    shared->responses.fetch_add(1, std::memory_order_relaxed);
     if (need_notify) {
       loop->notify(weak_from_this());
     }
-    return true;
   }
 
   /// Asks the owning loop to look at this connection (used by the last
@@ -485,6 +471,13 @@ class TcpFrontend::Loop {
     }
   }
 
+  /// How a parse_frames pass ended.
+  enum class Parse {
+    kNeedMore,  ///< Every whole frame consumed; wait for more bytes.
+    kFatal,     ///< Stream-desyncing frame: stop reading, flush, close.
+    kClosed,    ///< The connection closed mid-pass (a pong flush failed).
+  };
+
   void handle_readable(const std::shared_ptr<Connection>& conn) {
     bool fatal = false;
     std::size_t total = 0;
@@ -513,8 +506,12 @@ class TcpFrontend::Loop {
       conn->rbuf.resize(old + static_cast<std::size_t>(k));
       shared_->bytes_read.fetch_add(static_cast<std::size_t>(k),
                                     std::memory_order_relaxed);
-      fatal = parse_frames(conn);
-      if (fatal) {
+      const Parse parsed = parse_frames(conn);
+      if (parsed == Parse::kClosed) {
+        return;  // the fd is gone: touch nothing more
+      }
+      if (parsed == Parse::kFatal) {
+        fatal = true;
         stop_reading(conn);
         break;
       }
@@ -529,10 +526,10 @@ class TcpFrontend::Loop {
     }
   }
 
-  /// Peels whole frames off conn->rbuf from the read cursor. Returns
-  /// true when a fatal (stream-desyncing) frame was hit: the caller
-  /// stops reading, the error response flushes, then the socket closes.
-  bool parse_frames(const std::shared_ptr<Connection>& conn) {
+  /// Peels whole frames off conn->rbuf from the read cursor. On kFatal
+  /// (a stream-desyncing frame) the caller stops reading, the error
+  /// response flushes, then the socket closes.
+  Parse parse_frames(const std::shared_ptr<Connection>& conn) {
     auto& buf = conn->rbuf;
     while (conn->rpos < buf.size()) {
       // Demultiplex by peeked type first: ping and stats frames are
@@ -544,13 +541,20 @@ class TcpFrontend::Loop {
       const wire::DecodeStatus pk = wire::peek_type(
           buf.data() + conn->rpos, buf.size() - conn->rpos, type);
       if (pk == wire::DecodeStatus::kNeedMoreData) {
-        return false;
+        return Parse::kNeedMore;
       }
       if (pk == wire::DecodeStatus::kOk &&
           (type == wire::kTypePing || type == wire::kTypeStats ||
            type == wire::kTypeModelAdmin)) {
         if (!handle_control_frame(conn, type)) {
-          return false;  // frame still incomplete
+          return Parse::kNeedMore;  // frame still incomplete
+        }
+        // The pong leaves now, not after the rest of this read: a stats
+        // or admin frame behind it runs on this thread and may take
+        // long, and a health checker must not count that against the
+        // ping.
+        if (type == wire::kTypePing && !try_flush(conn)) {
+          return Parse::kClosed;
         }
         continue;
       }
@@ -559,15 +563,9 @@ class TcpFrontend::Loop {
       const wire::DecodeStatus st = wire::decode_request(
           buf.data() + conn->rpos, buf.size() - conn->rpos, req, consumed);
       if (st == wire::DecodeStatus::kNeedMoreData) {
-        return false;
+        return Parse::kNeedMore;
       }
       if (st == wire::DecodeStatus::kOk) {
-        if ((req.flags & wire::kFlagAcceptBatch) != 0) {
-          conn->batch_ok.store(true, std::memory_order_relaxed);
-        }
-        if ((req.flags & wire::kFlagAcceptStream) != 0) {
-          conn->stream_ok.store(true, std::memory_order_relaxed);
-        }
         shared_->requests.fetch_add(1, std::memory_order_relaxed);
         conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
         submit(conn, std::move(req));
@@ -587,14 +585,14 @@ class TcpFrontend::Loop {
       wire::ResponseFrame err;
       err.request_id = skippable ? req.request_id : 0;
       err.status = Status::kInvalidArgument;
-      send_response(conn, err);
+      conn->enqueue(wire::encode_response(err));
       if (!skippable) {
         conn->close_after_flush = true;
-        return true;
+        return Parse::kFatal;
       }
       conn->rpos += consumed;
     }
-    return false;
+    return Parse::kNeedMore;
   }
 
   /// Decodes + answers one type-5/6/7 frame at conn->rpos (the type
@@ -664,21 +662,14 @@ class TcpFrontend::Loop {
         echo_id = admin.request_id;
       }
     }
-    if (ok) {
-      std::vector<Connection::OutEntry> one;
-      one.push_back({false, std::move(reply)});
-      if (conn->enqueue(std::move(one))) {
-        shared_->responses.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        shared_->dropped_responses.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else {
+    if (!ok) {
       shared_->malformed.fetch_add(1, std::memory_order_relaxed);
       wire::ResponseFrame err;
       err.request_id = echo_id;
       err.status = Status::kInvalidArgument;
-      send_response(conn, err);
+      reply = wire::encode_response(err);
     }
+    conn->enqueue(std::move(reply));
     conn->rpos += consumed;
     return true;
   }
@@ -690,10 +681,9 @@ class TcpFrontend::Loop {
   void submit(const std::shared_ptr<Connection>& conn,
               wire::RequestFrame req) {
     const std::uint64_t id = req.request_id;
-    auto shared = shared_;
     service_.submit_async(
         req.model_id, std::move(req.tensor), req.cls, req.deadline_us,
-        [conn, shared, id](Result r) {
+        [conn, id](Result r) {
           // Runs on a model-server worker thread: an escaping exception
           // would terminate the process, so an output the wire cannot
           // carry (over the frame cap / rank limit) degrades to a
@@ -706,46 +696,15 @@ class TcpFrontend::Loop {
           if (r.status == Status::kOk) {
             resp.tensor = std::move(r.output);
           }
-          bool queued = false;
+          std::vector<std::uint8_t> frame;
           try {
-            const std::size_t payload = 8 * resp.tensor.size();
-            if (resp.status == Status::kOk &&
-                conn->stream_ok.load(std::memory_order_relaxed) &&
-                payload > shared->cfg.stream_chunk_bytes) {
-              auto frames = wire::encode_response_chunks(
-                  resp, shared->cfg.stream_chunk_bytes);
-              std::vector<Connection::OutEntry> entries;
-              entries.reserve(frames.size());
-              for (auto& f : frames) {
-                entries.push_back({false, std::move(f)});
-              }
-              queued = conn->enqueue(std::move(entries));
-              if (queued) {
-                shared->chunked_responses.fetch_add(
-                    1, std::memory_order_relaxed);
-              }
-            } else if (conn->batch_ok.load(std::memory_order_relaxed)) {
-              std::vector<Connection::OutEntry> one;
-              one.push_back({true, wire::encode_response_body(resp)});
-              queued = conn->enqueue(std::move(one));
-            } else {
-              std::vector<Connection::OutEntry> one;
-              one.push_back({false, wire::encode_response(resp)});
-              queued = conn->enqueue(std::move(one));
-            }
+            frame = wire::encode_response(resp);
           } catch (const std::exception&) {
             resp.status = Status::kInternalError;
             resp.tensor = bnn::Tensor();
-            std::vector<Connection::OutEntry> one;
-            one.push_back({false, wire::encode_response(resp)});
-            queued = conn->enqueue(std::move(one));  // no payload: no throw
+            frame = wire::encode_response(resp);  // no payload: no throw
           }
-          if (queued) {
-            shared->responses.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            shared->dropped_responses.fetch_add(1,
-                                                std::memory_order_relaxed);
-          }
+          conn->enqueue(std::move(frame));
           // Decrement strictly after the enqueue: a half-closed
           // connection may be reaped the instant in_flight hits 0 with
           // an empty queue, and the response must be inside by then.
@@ -755,22 +714,6 @@ class TcpFrontend::Loop {
             conn->request_attention();
           }
         });
-  }
-
-  /// Encodes + queues a frontend-originated response (error frames).
-  void send_response(const std::shared_ptr<Connection>& conn,
-                     const wire::ResponseFrame& resp) {
-    std::vector<Connection::OutEntry> one;
-    if (conn->batch_ok.load(std::memory_order_relaxed)) {
-      one.push_back({true, wire::encode_response_body(resp)});
-    } else {
-      one.push_back({false, wire::encode_response(resp)});
-    }
-    if (conn->enqueue(std::move(one))) {
-      shared_->responses.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      shared_->dropped_responses.fetch_add(1, std::memory_order_relaxed);
-    }
   }
 
   /// Read-cursor compaction: only when the consumed prefix is both
@@ -879,42 +822,13 @@ class TcpFrontend::Loop {
     return true;
   }
 
-  /// Moves queued entries into the staging buffer (under conn->mu).
-  /// Consecutive `body` entries coalesce into one type-3 batched frame
-  /// when the client opted in and two or more are waiting -- the
-  /// pipelining win: one syscall-sized burst carries many completions.
-  void refill_wbuf(Connection& c) {
+  /// Moves queued frames into the staging buffer (under conn->mu), so
+  /// one send(2) carries many pipelined completions.
+  static void refill_wbuf(Connection& c) {
     while (!c.outq.empty() && c.wbuf.size() < kFlushChunk) {
-      if (!c.outq.front().body) {
-        c.wbuf.insert(c.wbuf.end(), c.outq.front().bytes.begin(),
-                      c.outq.front().bytes.end());
-        c.outq.pop_front();
-        continue;
-      }
-      std::vector<std::vector<std::uint8_t>> run;
-      std::size_t run_bytes = 0;
-      // Batch frame body: 8 fixed bytes + u16 count + (4 + len) each;
-      // stay under the frame cap with room to spare.
-      while (!c.outq.empty() && c.outq.front().body &&
-             run.size() < 65535 &&
-             10 + run_bytes + 4 * (run.size() + 1) +
-                     c.outq.front().bytes.size() <=
-                 wire::kMaxFrameBytes &&
-             (run.empty() || c.wbuf.size() + run_bytes < kFlushChunk)) {
-        run_bytes += c.outq.front().bytes.size();
-        c.out_bytes -= c.outq.front().bytes.size();
-        run.push_back(std::move(c.outq.front().bytes));
-        c.outq.pop_front();
-      }
-      std::vector<std::uint8_t> frame;
-      if (run.size() == 1) {
-        frame = wire::frame_body(run[0]);
-      } else {
-        frame = wire::encode_response_batch(run);
-        shared_->batched_frames.fetch_add(1, std::memory_order_relaxed);
-      }
-      c.out_bytes += frame.size();
-      c.wbuf.insert(c.wbuf.end(), frame.begin(), frame.end());
+      c.wbuf.insert(c.wbuf.end(), c.outq.front().begin(),
+                    c.outq.front().end());
+      c.outq.pop_front();
     }
   }
 
@@ -1076,10 +990,6 @@ TcpFrontend::Stats TcpFrontend::stats() const {
       shared_->stats_requests.load(std::memory_order_relaxed);
   s.admin_requests =
       shared_->admin_requests.load(std::memory_order_relaxed);
-  s.batched_frames =
-      shared_->batched_frames.load(std::memory_order_relaxed);
-  s.chunked_responses =
-      shared_->chunked_responses.load(std::memory_order_relaxed);
   s.bytes_read = shared_->bytes_read.load(std::memory_order_relaxed);
   s.bytes_written = shared_->bytes_written.load(std::memory_order_relaxed);
   s.overflow_kills =

@@ -14,7 +14,8 @@
 /// WireService::submit_async (a Gateway, via the adapter, or a
 /// Balancer). The completion callback -- running on a
 /// model-server worker thread, possibly out of request order -- encodes
-/// the response and appends it to the connection's outbound queue, then
+/// the response as one type-2 frame and appends it to the connection's
+/// outbound queue, then
 /// wakes the owning loop via an eventfd; the loop flushes with
 /// nonblocking send(2), arming EPOLLOUT only while the socket's buffer
 /// is full. Responses therefore carry the request's echoed id and a
@@ -38,8 +39,9 @@
 /// because nothing after it can be trusted.
 ///
 /// Besides type-1 requests a connection may interleave type-5 pings
-/// (answered inline on the loop thread with a pong echoing the nonce --
-/// the health probe serve::Balancer uses to mark replicas dead), type-6
+/// (answered inline on the loop thread with a pong echoing the nonce and
+/// flushed before the next frame is parsed -- the health probe
+/// serve::Balancer uses to mark replicas dead), type-6
 /// stats requests (answered with the service's stats digest) and type-7
 /// model-admin requests (load/unload/list, answered with the service's
 /// WireService::handle_model_admin). All are served even while the
@@ -123,9 +125,6 @@ struct TcpFrontendConfig {
   /// socket has accepted none of them for this long (client stopped
   /// reading and its receive window is full). 0 = never.
   std::uint32_t write_stall_timeout_ms = 2000;
-  /// Payload bytes per type-4 chunk when streaming large responses to
-  /// kFlagAcceptStream clients (responses above this size are chunked).
-  std::size_t stream_chunk_bytes = std::size_t{256} << 10;
 };
 
 /// The socket frontend. Constructing it binds + listens + starts the
@@ -159,8 +158,6 @@ class TcpFrontend {
     std::size_t pings = 0;        ///< Type-5 pings answered with pongs.
     std::size_t stats_requests = 0;  ///< Type-6 stats requests answered.
     std::size_t admin_requests = 0;  ///< Type-7 admin requests answered.
-    std::size_t batched_frames = 0;   ///< Type-3 frames flushed.
-    std::size_t chunked_responses = 0;  ///< Responses streamed as chunks.
     std::size_t bytes_read = 0;       ///< Raw bytes received.
     std::size_t bytes_written = 0;    ///< Raw bytes sent.
     std::size_t overflow_kills = 0;   ///< Connections killed: queue cap.

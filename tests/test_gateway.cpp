@@ -511,7 +511,14 @@ TEST(Wire, RequestAndResponseRoundTripByteExactly) {
   req.deadline_us = 12'345;
   req.model_id = "mlp-a";
   req.tensor = Tensor::random_uniform({3, 5}, 2.0, rng);
-  const auto bytes = serve::wire::encode_request(req);
+  auto bytes = serve::wire::encode_request(req);
+
+  // The byte after the class is reserved: written as 0, and ignored on
+  // decode whatever an older client put there (0x01/0x02 were batch and
+  // stream capability bits).
+  const std::size_t reserved_off = 4 + 4 + 1 + 1 + 1;
+  EXPECT_EQ(bytes[reserved_off], 0u);
+  bytes[reserved_off] = 0x03;
 
   wire::RequestFrame back;
   std::size_t consumed = 0;
@@ -582,12 +589,27 @@ TEST(Wire, MalformedAndTruncatedFramesAreRejected) {
                                         consumed),
             serve::wire::DecodeStatus::kBadVersion);
 
-  // Response frame where a request is expected.
-  bad = good;
-  bad[9] = serve::wire::kTypeResponse;
-  EXPECT_EQ(serve::wire::decode_request(bad.data(), bad.size(), out,
-                                        consumed),
-            serve::wire::DecodeStatus::kBadType);
+  // A response frame where a request is expected, and the reserved type
+  // bytes 3 and 4, which no decoder accepts.
+  for (const std::uint8_t type :
+       {serve::wire::kTypeResponse, std::uint8_t{3}, std::uint8_t{4}}) {
+    bad = good;
+    bad[9] = type;
+    EXPECT_EQ(serve::wire::decode_request(bad.data(), bad.size(), out,
+                                          consumed),
+              serve::wire::DecodeStatus::kBadType)
+        << "type " << int{type};
+  }
+  const auto good_resp = serve::wire::encode_response(wire::ResponseFrame{});
+  for (const std::uint8_t type : {std::uint8_t{3}, std::uint8_t{4}}) {
+    auto bad_resp = good_resp;
+    bad_resp[9] = type;
+    wire::ResponseFrame rout;
+    EXPECT_EQ(serve::wire::decode_response(bad_resp.data(), bad_resp.size(),
+                                           rout, consumed),
+              serve::wire::DecodeStatus::kBadType)
+        << "type " << int{type};
+  }
 
   // Hostile length field: rejected before any allocation.
   bad = good;
