@@ -97,7 +97,6 @@ ModelConfig model_config(const Config& cfg) {
   mcfg.server.batching_window_us =
       static_cast<std::uint64_t>(cfg.get_int("window_us", 1000));
   mcfg.server.workers = static_cast<std::size_t>(cfg.get_int("workers", 1));
-  mcfg.server.queue_capacity = 2 * mcfg.server.max_batch;
   return mcfg;
 }
 
@@ -316,7 +315,6 @@ int main(int argc, char** argv) {
     ModelConfig tight = mcfg;
     tight.server.max_batch = std::max<std::size_t>(1, mcfg.server.max_batch / 4);
     tight.server.batching_window_us = 0;
-    tight.server.queue_capacity = 2 * tight.server.max_batch;
     gw.register_model(models[0], net_a, tight);
     const auto per_class = static_cast<std::size_t>(
         cfg.get_int("per_class", smoke ? 300 : 1000));

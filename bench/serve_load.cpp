@@ -1,6 +1,6 @@
 // Serving-layer load bench: closed-loop and open-loop (Poisson) traffic
-// against serve::Server, sweeping offered load x dynamic-batching window,
-// with a machine-readable JSON report.
+// against a one-model serve::Gateway, sweeping offered load x
+// dynamic-batching window, with a machine-readable JSON report.
 //
 // What it shows: at equal offered load, a batching window > 0 sustains a
 // multiple of the window = 0 (serve-singly) throughput, because the
@@ -9,7 +9,7 @@
 // baseline (bench/baselines/serve_load_ci.json): fail when p99 latency
 // exceeds the budget or throughput regresses more than 20%.
 //
-// backend= selects what the server executes: `network` (default, the BNN
+// backend= selects what the model executes: `network` (default, the BNN
 // through per-worker BatchRunners) or a mapped crossbar executor served
 // through serve::make_mapped_handler over the map::MappedExecutor
 // interface -- `electrical`, `optical` (batches map onto WDM wavelengths
@@ -51,8 +51,9 @@
 #include "common/thread_pool.hpp"
 #include "device/noise.hpp"
 #include "mapping/executor.hpp"
+#include "serve/gateway.hpp"
 #include "serve/mapped_backend.hpp"
-#include "serve/server.hpp"
+#include "serve/router.hpp"
 
 namespace {
 
@@ -63,16 +64,19 @@ using eb::RngStream;
 using eb::ThreadPool;
 using eb::bnn::Network;
 using eb::bnn::Tensor;
+using eb::serve::DeadlineClass;
+using eb::serve::Gateway;
 using eb::serve::MetricsSnapshot;
-using eb::serve::Server;
-using eb::serve::ServerConfig;
 using Clock = std::chrono::steady_clock;
 
-// Builds a fresh Server for one sweep point's batching window; lets the
-// sweep drivers stay agnostic of what the server executes (Network vs
-// mapped-executor handler).
-using ServerFactory =
-    std::function<std::unique_ptr<Server>(std::uint64_t window_us)>;
+// Every request goes to model "m" under this class.
+constexpr DeadlineClass kCls = DeadlineClass::kBestEffort;
+
+// Builds a fresh one-model Gateway for one sweep point's batching window;
+// lets the sweep drivers stay agnostic of what the model executes
+// (Network vs mapped-executor handler).
+using GatewayFactory =
+    std::function<std::unique_ptr<Gateway>(std::uint64_t window_us)>;
 
 struct PointResult {
   std::string kind;  // "closed" | "open"
@@ -143,23 +147,42 @@ double calibrate_mapped_sps(const eb::map::MappedExecutor& exec,
   return best;
 }
 
-ServerConfig server_config(const Config& cfg, std::uint64_t window_us) {
-  ServerConfig scfg;
-  scfg.max_batch =
-      static_cast<std::size_t>(cfg.get_int("max_batch", 64));
-  scfg.batching_window_us = window_us;
-  scfg.workers = static_cast<std::size_t>(cfg.get_int("workers", 2));
-  scfg.pool_threads =
-      static_cast<std::size_t>(cfg.get_int("threads", 1));
-  return scfg;
+eb::serve::GatewayConfig gateway_config(const Config& cfg) {
+  eb::serve::GatewayConfig gcfg;
+  gcfg.pool_threads = static_cast<std::size_t>(cfg.get_int("threads", 1));
+  // No default deadline; a backlog bound deep enough that the open-loop
+  // overload points queue instead of rejecting.
+  auto& cls = gcfg.classes[static_cast<std::size_t>(kCls)];
+  cls.default_deadline_us = 0;
+  cls.queue_capacity = 65536;
+  return gcfg;
 }
 
-PointResult run_closed_loop(const ServerFactory& make_server,
+eb::serve::ModelConfig model_config(const Config& cfg,
+                                    std::uint64_t window_us) {
+  eb::serve::ModelConfig mcfg;
+  mcfg.server.max_batch =
+      static_cast<std::size_t>(cfg.get_int("max_batch", 64));
+  mcfg.server.batching_window_us = window_us;
+  mcfg.server.workers = static_cast<std::size_t>(cfg.get_int("workers", 2));
+  return mcfg;
+}
+
+// The class's latency metrics plus the model's batch counters.
+MetricsSnapshot point_metrics(const Gateway& gw) {
+  const auto snap = gw.metrics();
+  MetricsSnapshot m = snap.classes[static_cast<std::size_t>(kCls)];
+  m.batches = snap.models.at(0).server.batches;
+  m.mean_batch_size = snap.models.at(0).server.mean_batch_size;
+  return m;
+}
+
+PointResult run_closed_loop(const GatewayFactory& make_gateway,
                             const std::vector<Tensor>& inputs,
                             std::size_t clients, std::uint64_t window_us,
                             double duration_s) {
-  const auto server_ptr = make_server(window_us);
-  Server& server = *server_ptr;
+  const auto gw_ptr = make_gateway(window_us);
+  Gateway& gw = *gw_ptr;
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
   threads.reserve(clients);
@@ -168,7 +191,7 @@ PointResult run_closed_loop(const ServerFactory& make_server,
     threads.emplace_back([&, c] {
       std::size_t i = c;
       while (!stop.load(std::memory_order_relaxed)) {
-        (void)server.submit(inputs[i % inputs.size()]).get();
+        (void)gw.submit("m", inputs[i % inputs.size()], kCls).get();
         i += clients;
       }
     });
@@ -184,20 +207,20 @@ PointResult run_closed_loop(const ServerFactory& make_server,
   r.kind = "closed";
   r.clients = clients;
   r.window_us = window_us;
-  r.snap = server.metrics();
+  r.snap = point_metrics(gw);
   r.achieved_rps =
       elapsed > 0.0 ? static_cast<double>(r.snap.completed) / elapsed : 0.0;
-  server.shutdown();
+  gw.shutdown();
   return r;
 }
 
-PointResult run_open_loop(const ServerFactory& make_server,
+PointResult run_open_loop(const GatewayFactory& make_gateway,
                           const std::vector<Tensor>& inputs,
                           double offered_rps, std::size_t n_requests,
                           std::uint64_t window_us,
                           std::uint64_t deadline_us) {
-  const auto server_ptr = make_server(window_us);
-  Server& server = *server_ptr;
+  const auto gw_ptr = make_gateway(window_us);
+  Gateway& gw = *gw_ptr;
   RngStream arrivals(0xA771BA1);  // fixed seed: reproducible schedule
   std::vector<std::future<eb::serve::Result>> futures;
   futures.reserve(n_requests);
@@ -206,7 +229,7 @@ PointResult run_open_loop(const ServerFactory& make_server,
   for (std::size_t i = 0; i < n_requests; ++i) {
     std::this_thread::sleep_until(next);
     futures.push_back(
-        server.submit(inputs[i % inputs.size()], deadline_us));
+        gw.submit("m", inputs[i % inputs.size()], kCls, deadline_us));
     const double gap_s = -std::log(1.0 - arrivals.uniform()) / offered_rps;
     next += std::chrono::nanoseconds(
         static_cast<std::int64_t>(gap_s * 1e9));
@@ -221,10 +244,10 @@ PointResult run_open_loop(const ServerFactory& make_server,
   r.offered_rps = offered_rps;
   r.window_us = window_us;
   r.deadline_us = deadline_us;
-  r.snap = server.metrics();
+  r.snap = point_metrics(gw);
   r.achieved_rps =
       elapsed > 0.0 ? static_cast<double>(r.snap.completed) / elapsed : 0.0;
-  server.shutdown();
+  gw.shutdown();
   return r;
 }
 
@@ -311,7 +334,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // What the server executes. backend=network: a BNN through per-worker
+  // What the model executes. backend=network: a BNN through per-worker
   // BatchRunners (smoke: a small net that keeps the whole run around
   // ~2 s; full sweep: the 1024-wide model of the acceptance claim).
   // Mapped backends: a map::MappedExecutor served through the
@@ -360,16 +383,17 @@ int main(int argc, char** argv) {
               "batch 64 (%.1fx amortization headroom)\n",
               single_sps, batched_sps, batched_sps / single_sps);
 
-  const ServerFactory make_server = [&](std::uint64_t window) {
+  const GatewayFactory make_gateway = [&](std::uint64_t window) {
+    auto gw = std::make_unique<Gateway>(gateway_config(cfg));
     if (net != nullptr) {
-      return std::make_unique<Server>(*net, server_config(cfg, window));
+      gw->register_model("m", *net, model_config(cfg, window));
+    } else {
+      // The handler is rebuilt per point so every sweep point sees the
+      // same handler-stream seed (run-to-run comparable points).
+      gw->register_model("m", mapped, std::make_shared<eb::dev::NoNoise>(),
+                         model_config(cfg, window));
     }
-    // The handler is rebuilt per point so every sweep point sees the
-    // same handler-stream seed (run-to-run comparable points).
-    return std::make_unique<Server>(
-        eb::serve::make_mapped_handler(
-            mapped, std::make_shared<eb::dev::NoNoise>()),
-        server_config(cfg, window));
+    return gw;
   };
 
   const double duration_s =
@@ -383,7 +407,7 @@ int main(int argc, char** argv) {
   for (const std::size_t clients :
        smoke ? std::vector<std::size_t>{4}
              : std::vector<std::size_t>{1, 4, 16}) {
-    points.push_back(run_closed_loop(make_server, inputs, clients, window_us,
+    points.push_back(run_closed_loop(make_gateway, inputs, clients, window_us,
                                      duration_s * 0.5));
     print_point(points.back());
   }
@@ -396,7 +420,7 @@ int main(int argc, char** argv) {
     const double offered = frac * batched_sps;
     const auto n = static_cast<std::size_t>(offered * duration_s);
     for (const std::uint64_t w : {std::uint64_t{0}, window_us}) {
-      points.push_back(run_open_loop(make_server, inputs, offered,
+      points.push_back(run_open_loop(make_gateway, inputs, offered,
                                      std::max<std::size_t>(n, 32), w,
                                      /*deadline_us=*/0));
       print_point(points.back());
@@ -409,7 +433,7 @@ int main(int argc, char** argv) {
     const double offered = 1.2 * batched_sps;
     const auto n = static_cast<std::size_t>(offered * duration_s * 0.5);
     points.push_back(run_open_loop(
-        make_server, inputs, offered, std::max<std::size_t>(n, 32), window_us,
+        make_gateway, inputs, offered, std::max<std::size_t>(n, 32), window_us,
         /*deadline_us=*/50'000));
     print_point(points.back());
     const auto& p = points.back();

@@ -11,7 +11,7 @@
 // very same per-sample code).
 //
 // This is the engine the accuracy sweeps, the throughput benches, and the
-// serving layer (serve::Server) use. Two pool modes:
+// serving layer (serve::Gateway's batch workers) use. Two pool modes:
 //
 //  * standalone -- the runner owns a private pool sized by cfg.threads
 //    (the original single-caller mode);
@@ -64,7 +64,7 @@ class BatchRunner {
   explicit BatchRunner(const Network& net, BatchRunnerConfig cfg = {});
 
   // Shares `pool` instead of owning one: nested parallel_for is
-  // re-entrant, so many runners (e.g. serve::Server workers) can fan
+  // re-entrant, so many runners (e.g. serve::Gateway batch workers) can fan
   // batches into one pool concurrently.
   BatchRunner(const Network& net, ThreadPool& pool,
               BatchRunnerConfig cfg = {});

@@ -25,7 +25,7 @@
 namespace eb {
 
 // Abstract time source. Implementations must be safe to share across
-// threads (the serving layer reads now() from workers, dispatchers and
+// threads (the serving layer reads now() from batch workers and
 // submitters concurrently).
 class Clock {
  public:
@@ -50,6 +50,12 @@ class Clock {
   // The process-wide real (steady) clock.
   [[nodiscard]] static Clock& real();
 };
+
+// Microseconds in `d`: the unit every serving latency (Result::queue_us,
+// Result::total_us, the metrics percentiles) is reported in.
+[[nodiscard]] inline double to_us(Clock::duration d) {
+  return std::chrono::duration<double, std::micro>(d).count();
+}
 
 // Test clock: time stands still until advance() moves it forward.
 // wait_until() polls the real clock at a short period, so sleepers

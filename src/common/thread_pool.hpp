@@ -17,8 +17,8 @@
 //  * parallel_for is also safe for *concurrent independent callers*: each
 //    invocation owns its private cursor/latch state and only shares the
 //    task queue, and a waiting caller will help run another invocation's
-//    chunks. This is the contract the serving layer (serve::Server)
-//    relies on -- its N worker threads fan batches into one shared pool
+//    chunks. This is the contract the serving layer (serve::Gateway)
+//    relies on -- its batch workers fan batches into one shared pool
 //    while mapped executors nest crossbar-shard loops into the same pool.
 //  * The first exception thrown by any chunk is rethrown on the calling
 //    thread after all workers drain; an exception in one invocation never

@@ -1,19 +1,18 @@
 #include "serve/gateway.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdio>
+#include <thread>
 #include <utility>
 
+#include "bnn/batch_runner.hpp"
 #include "bnn/format.hpp"
 #include "common/error.hpp"
 
 namespace eb::serve {
 
 namespace {
-
-double to_us(std::chrono::steady_clock::duration d) {
-  return std::chrono::duration<double, std::micro>(d).count();
-}
 
 std::size_t class_index(DeadlineClass cls) {
   const auto c = static_cast<std::size_t>(cls);
@@ -23,13 +22,20 @@ std::size_t class_index(DeadlineClass cls) {
 
 }  // namespace
 
-ServerConfig default_model_server_config() {
-  ServerConfig scfg;
-  // Shallow server queue: backlog must pool in the gateway's admission
-  // queues (where the weighted scheduler arbitrates), not in the model
-  // server's FIFO.
-  scfg.queue_capacity = 2 * scfg.max_batch;
-  return scfg;
+const char* to_string(Status s) {
+  switch (s) {
+    case Status::kOk:
+      return "ok";
+    case Status::kDeadlineExceeded:
+      return "deadline_exceeded";
+    case Status::kRejected:
+      return "rejected";
+    case Status::kInternalError:
+      return "internal_error";
+    case Status::kInvalidArgument:
+      return "invalid_argument";
+  }
+  EB_UNREACHABLE("unknown serve::Status");
 }
 
 std::string GatewaySnapshot::summary() const {
@@ -48,27 +54,58 @@ std::string GatewaySnapshot::summary() const {
   return buf;
 }
 
-/// Registry slot: the model's server plus its DRR queue handles.
+/// One admitted request, queued in its model's class queue.
+struct Gateway::Pending {
+  bnn::Tensor input;
+  Clock::time_point enqueue;
+  Clock::time_point deadline;  // Clock::time_point::max() = none
+  DeadlineClass cls = DeadlineClass::kInteractive;
+  Completion done;
+};
+
+/// One formed batch: its live members and the requests that had expired
+/// by the time it formed.
+struct Gateway::Batch {
+  Clock::time_point formed;
+  std::vector<Pending> live;
+  std::vector<Pending> expired;
+};
+
+/// Registry slot: a model's backend, its class queues and its workers.
 struct Gateway::ModelEntry {
   std::string id;
-  double weight = 1.0;
   std::size_t input_size = 0;  // 0 = unchecked
+  BatchingConfig batching;
   /// Set only for load_model() registrations: the gateway owns the
-  /// decoded network. Declared before `server` so the server (which
-  /// borrows the network) is destroyed first.
+  /// decoded network. Declared before `runners`, which borrow it.
   std::shared_ptr<const bnn::Network> owned_net;
-  std::unique_ptr<Server> server;
-  std::array<std::size_t, kNumClasses> slots{};
+  /// Network registrations: one runner per worker. Empty otherwise.
+  std::vector<std::unique_ptr<bnn::BatchRunner>> runners;
+  BatchHandler handler;  // handler registrations
+
+  // Guarded by Gateway::mu_.
+  WeightedDrrQueue<Pending> queue;  // one queue per class, handle == class
+  std::condition_variable cv;       // arrivals, drain, window waits
+  bool draining = false;
+  std::size_t submitted = 0;
+  std::size_t deadline_exceeded = 0;
+  std::size_t batches = 0;
+  std::size_t batched_requests = 0;
+  std::vector<std::size_t> batch_size_hist;
+
+  std::atomic<std::size_t> completed{0};
+  std::vector<std::thread> workers;
 };
 
 Gateway::Gateway(GatewayConfig cfg)
-    : cfg_(cfg), pool_(cfg.pool_threads) {
+    : cfg_(cfg),
+      pool_(cfg.pool_threads),
+      class_metrics_{Metrics(clk()), Metrics(clk()), Metrics(clk())} {
   for (std::size_t c = 0; c < kNumClasses; ++c) {
     EB_REQUIRE(cfg_.classes[c].weight > 0.0, "class weight must be > 0");
     EB_REQUIRE(cfg_.classes[c].queue_capacity >= 1,
                "class queue capacity must be >= 1");
   }
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 Gateway::~Gateway() { shutdown(); }
@@ -81,18 +118,13 @@ void Gateway::register_model(const std::string& id, const bnn::Network& net,
     // sets ModelConfig::input_size.
     mcfg.input_size = net.layer(0).spec().in_features;
   }
-  // The Network server ctor (per-worker BatchRunners, bit-exact forward
-  // path) rather than a hand-rolled handler.
-  install_entry(id, mcfg, [&](const ServerConfig& scfg) {
-    return std::make_unique<Server>(net, pool_, scfg);
-  });
+  install_entry(id, mcfg, nullptr, &net);
 }
 
 void Gateway::register_model(const std::string& id, BatchHandler handler,
                              ModelConfig mcfg) {
-  install_entry(id, mcfg, [&](const ServerConfig& scfg) {
-    return std::make_unique<Server>(std::move(handler), pool_, scfg);
-  });
+  EB_REQUIRE(handler != nullptr, "handler must be callable");
+  install_entry(id, mcfg, std::move(handler), nullptr);
 }
 
 void Gateway::register_model(const std::string& id,
@@ -122,58 +154,51 @@ void Gateway::load_model(const std::string& id, const std::string& file,
   if (mcfg.input_size == 0 && net->layer_count() > 0) {
     mcfg.input_size = net->layer(0).spec().in_features;
   }
-  install_entry(
-      id, mcfg,
-      [&](const ServerConfig& scfg) {
-        return std::make_unique<Server>(*net, pool_, scfg);
-      },
-      net);
+  install_entry(id, mcfg, nullptr, net.get(), net);
 }
 
-void Gateway::install_entry(
-    const std::string& id, const ModelConfig& mcfg,
-    const std::function<std::unique_ptr<Server>(const ServerConfig&)>&
-        make_server,
-    std::shared_ptr<const bnn::Network> owned) {
+void Gateway::install_entry(const std::string& id, const ModelConfig& mcfg,
+                            BatchHandler handler, const bnn::Network* net,
+                            std::shared_ptr<const bnn::Network> owned) {
   EB_REQUIRE(!id.empty() && id.size() <= 255,
              "model id must be 1..255 bytes");
-  EB_REQUIRE(mcfg.weight > 0.0, "model weight must be > 0");
-  ServerConfig scfg = mcfg.server;
-  scfg.on_dequeue = [this] { cv_.notify_all(); };
-  if (scfg.clock == nullptr) {
-    // Model servers tick on the gateway's clock unless a registration
-    // injects its own: one VirtualClock drives admission deadlines AND
-    // every model's batching windows.
-    scfg.clock = cfg_.clock;
-  }
+  const BatchingConfig& bcfg = mcfg.server;
+  EB_REQUIRE(bcfg.max_batch >= 1, "max_batch must be >= 1");
+  EB_REQUIRE(bcfg.workers >= 1, "need at least one worker");
   auto entry = std::make_shared<ModelEntry>();
   entry->id = id;
-  entry->weight = mcfg.weight;
   entry->input_size = mcfg.input_size;
+  entry->batching = bcfg;
   entry->owned_net = std::move(owned);
-  entry->server = make_server(scfg);
+  entry->handler = std::move(handler);
+  if (net != nullptr) {
+    // Per-worker BatchRunners: the bit-exact forward path, one GEMM batch
+    // per formed batch. Constructing them warms the autotuner.
+    bnn::BatchRunnerConfig rcfg;
+    rcfg.batch_size = bcfg.max_batch;
+    for (std::size_t w = 0; w < bcfg.workers; ++w) {
+      entry->runners.push_back(
+          std::make_unique<bnn::BatchRunner>(*net, pool_, rcfg));
+    }
+  }
+  for (const auto& cls : cfg_.classes) {
+    (void)entry->queue.add_queue(cls.weight);  // handle == class index
+  }
   const std::lock_guard<std::mutex> lock(mu_);
   EB_REQUIRE(!draining_, "register_model after shutdown");
   EB_REQUIRE(models_.count(id) == 0,
              "model id '" + id + "' is already registered");
-  for (std::size_t c = 0; c < kNumClasses; ++c) {
-    const std::size_t h =
-        drr_.add_queue(mcfg.weight * cfg_.classes[c].weight);
-    entry->slots[c] = h;
-    if (h < slot_entry_.size()) {
-      slot_entry_[h] = entry;  // reused slot of an unregistered model
-    } else {
-      EB_ASSERT(h == slot_entry_.size(),
-                "DRR handle / slot table out of sync");
-      slot_entry_.push_back(entry);
-    }
-  }
   models_[id] = entry;
+  // Started under mu_, so an unregister/shutdown racing this registration
+  // sees either no entry or one whose workers all exist.
+  for (std::size_t w = 0; w < bcfg.workers; ++w) {
+    entry->workers.emplace_back(
+        [this, e = entry.get(), w] { worker_loop(*e, w); });
+  }
 }
 
 bool Gateway::unregister_model(const std::string& id) {
   std::shared_ptr<ModelEntry> entry;
-  std::vector<GwPending> orphans;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     const auto it = models_.find(id);
@@ -182,29 +207,42 @@ bool Gateway::unregister_model(const std::string& id) {
     }
     entry = it->second;
     models_.erase(it);
-    for (std::size_t c = 0; c < kNumClasses; ++c) {
-      auto drained = drr_.remove_queue(entry->slots[c]);
-      EB_ASSERT(class_depth_[c] >= drained.size(),
-                "class depth accounting underflow");
-      class_depth_[c] -= drained.size();
-      slot_entry_[entry->slots[c]] = nullptr;
-      for (auto& r : drained) {
-        orphans.push_back(std::move(r));
+    entry->draining = true;
+  }
+  entry->cv.notify_all();
+  join_workers({entry});
+  return true;
+}
+
+void Gateway::shutdown() {
+  std::vector<std::shared_ptr<ModelEntry>> entries;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    draining_ = true;
+    for (const auto& [_, e] : models_) {
+      e->draining = true;
+      entries.push_back(e);
+    }
+  }
+  for (const auto& e : entries) {
+    e->cv.notify_all();
+  }
+  join_workers(entries);
+}
+
+// The drain path unregister_model and shutdown share: the entries are
+// already marked draining, so their workers skip window waits, serve
+// everything still queued, and exit.
+void Gateway::join_workers(
+    const std::vector<std::shared_ptr<ModelEntry>>& entries) {
+  const std::lock_guard<std::mutex> lock(join_mu_);
+  for (const auto& e : entries) {
+    for (auto& t : e->workers) {
+      if (t.joinable()) {
+        t.join();
       }
     }
   }
-  // Admission-queue stragglers: the model is gone before they were
-  // dispatched; reject them (outside the lock -- callbacks are user code).
-  for (auto& r : orphans) {
-    Result res;
-    res.status = Status::kRejected;
-    finish(r.cls, r.done, std::move(res));
-  }
-  // Everything already forwarded drains inside the model's server; any
-  // dispatch racing this shutdown gets the server's kRejected, which the
-  // forward callback passes through. Every accepted request is fulfilled.
-  entry->server->shutdown();
-  return true;
 }
 
 std::vector<std::string> Gateway::model_ids() const {
@@ -237,117 +275,183 @@ void Gateway::submit_async(const std::string& model, bnn::Tensor input,
                            Completion done) {
   EB_REQUIRE(done != nullptr, "submit_async needs a completion callback");
   const std::size_t c = class_index(cls);
-  GwPending r;
-  r.input = std::move(input);
-  r.cls = cls;
-  r.done = std::move(done);
-  bool accepted = false;
   Status reject_status = Status::kRejected;
+  bool accepted = false;
   std::size_t depth_after = 0;
+  std::shared_ptr<ModelEntry> wake;  // set when a worker must re-evaluate
   {
     const std::lock_guard<std::mutex> lock(mu_);
     const auto it = models_.find(model);
     if (it != models_.end() && it->second->input_size != 0 &&
-        r.input.size() != it->second->input_size) {
+        input.size() != it->second->input_size) {
       // Shape gate at admission: a wrong-shaped request must fail alone
       // with kInvalidArgument, never inside a batch where the handler's
       // exception would take co-batched tenants down with it.
       reject_status = Status::kInvalidArgument;
     } else if (!draining_ && it != models_.end() &&
                class_depth_[c] < cfg_.classes[c].queue_capacity) {
+      ModelEntry& e = *it->second;
       // Timestamp under the lock: per-queue order == admission order.
-      r.enqueue = clk().now();
+      const auto now = clk().now();
       const std::uint64_t effective =
           deadline_us != 0 ? deadline_us : cfg_.classes[c].default_deadline_us;
-      r.deadline = effective == 0
-                       ? Clock::time_point::max()
-                       : r.enqueue + std::chrono::microseconds(effective);
-      r.entry = it->second;
-      drr_.push(it->second->slots[c], std::move(r));
+      e.queue.push(c, Pending{std::move(input), now,
+                              effective == 0
+                                  ? Clock::time_point::max()
+                                  : now + std::chrono::microseconds(effective),
+                              cls, std::move(done)});
+      ++e.submitted;
       depth_after = ++class_depth_[c];
       accepted = true;
+      // Only two arrivals change a worker's decision: the first one (an
+      // idle worker gets an anchor) and the one that fills a batch (a
+      // window wait closes early). Every other arrival waits for the
+      // anchor's window like the requests before it.
+      const std::size_t queued = e.queue.total_size();
+      if (queued == 1 || queued == e.batching.max_batch) {
+        wake = it->second;
+      }
     }
   }
   if (accepted) {
     class_metrics_[c].record_submitted(depth_after);
-    cv_.notify_all();
-  } else {
-    // Unknown model, wrong request shape, class partition full, or
-    // draining: terminal status, delivered inline.
-    Result res;
-    res.status = reject_status;
-    finish(cls, r.done, std::move(res));
-  }
-}
-
-void Gateway::dispatcher_loop() {
-  for (;;) {
-    GwPending item;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      for (;;) {
-        if (drr_.total_size() == 0) {
-          if (draining_) {
-            return;
-          }
-          cv_.wait(lock, [this] {
-            return draining_ || drr_.total_size() != 0;
-          });
-          if (draining_ && drr_.total_size() == 0) {
-            return;
-          }
-        }
-        auto popped = drr_.pop_next([this](std::size_t h) {
-          const auto& e = slot_entry_[h];
-          return e != nullptr && e->server->queue_depth() <
-                                     e->server->config().queue_capacity;
-        });
-        if (popped.has_value()) {
-          item = std::move(popped->second);
-          const std::size_t c = class_index(item.cls);
-          EB_ASSERT(class_depth_[c] > 0, "class depth accounting underflow");
-          --class_depth_[c];
-          break;
-        }
-        // Backlog exists but every target server is at capacity: wait for
-        // an on_dequeue notification (1 ms backstop against lost wakeups).
-        cv_.wait_for(lock, std::chrono::milliseconds(1));
-      }
+    if (wake != nullptr) {
+      wake->cv.notify_all();
     }
-    forward(std::move(item));
-  }
-}
-
-void Gateway::forward(GwPending item) {
-  const auto now = clk().now();
-  if (now >= item.deadline) {
-    // Expired while waiting for admission dispatch: terminal here, the
-    // model server never sees it.
-    Result res;
-    res.status = Status::kDeadlineExceeded;
-    res.queue_us = to_us(now - item.enqueue);
-    res.total_us = res.queue_us;
-    finish(item.cls, item.done, std::move(res));
     return;
   }
-  std::uint64_t remaining_us = 0;  // 0 = no deadline for the server
-  if (item.deadline != Clock::time_point::max()) {
-    const auto rem = std::chrono::duration_cast<std::chrono::microseconds>(
-        item.deadline - now);
-    // >= 1: a deadline that rounds to zero must stay a deadline.
-    remaining_us = std::max<std::int64_t>(rem.count(), 1);
+  // Unknown model, wrong request shape, class partition full, or
+  // draining: terminal status, delivered inline.
+  Result res;
+  res.status = reject_status;
+  finish(cls, done, std::move(res));
+}
+
+void Gateway::worker_loop(ModelEntry& e, std::size_t worker) {
+  Batch b;
+  while (form_batch(e, b)) {
+    serve_batch(e, worker, b);
   }
-  const auto enqueue = item.enqueue;
-  const DeadlineClass cls = item.cls;
-  Server& server = *item.entry->server;
-  server.submit_async(
-      std::move(item.input), remaining_us,
-      [this, enqueue, cls, done = std::move(item.done)](Result r) mutable {
-        // Rebase to end-to-end latency: admission -> completion (queue_us
-        // keeps the server-side queueing component).
-        r.total_us = to_us(clk().now() - enqueue);
-        finish(cls, done, std::move(r));
-      });
+}
+
+bool Gateway::form_batch(ModelEntry& e, Batch& b) {
+  const std::size_t max_batch = e.batching.max_batch;
+  const auto window = std::chrono::microseconds(e.batching.batching_window_us);
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    e.cv.wait(lock, [&] { return e.draining || e.queue.total_size() != 0; });
+    const std::size_t queued = e.queue.total_size();
+    if (queued == 0) {
+      return false;  // draining and fully drained
+    }
+    const auto now = clk().now();
+    std::size_t take = std::min(queued, max_batch);
+    if (!e.draining) {  // a drain skips window waits and serves full batches
+      // The batch is anchored on the model's oldest queued request and
+      // closes at max_batch or when that request's window expires.
+      auto oldest = Clock::time_point::max();
+      for (std::size_t c = 0; c < kNumClasses; ++c) {
+        if (!e.queue.items(c).empty()) {
+          oldest = std::min(oldest, e.queue.items(c).front().enqueue);
+        }
+      }
+      const auto close = oldest + window;
+      if (now < close && queued < max_batch) {
+        // Under-full inside the window: sleep until it closes or an
+        // arrival fills the batch. The wait goes through the injected
+        // clock so a VirtualClock can expire the window.
+        clk().wait_until(lock, e.cv, close);
+        continue;
+      }
+      if (now >= close) {
+        // Only requests admitted within the window count, so window 0
+        // serves each request alone. (Inside the window every queued
+        // request qualifies: all were admitted before now.)
+        take = 0;
+        for (std::size_t c = 0; c < kNumClasses && take < max_batch; ++c) {
+          for (const auto& r : e.queue.items(c)) {
+            if (r.enqueue > close || take == max_batch) {
+              break;
+            }
+            ++take;
+          }
+        }
+      }
+    }
+    // The window sets the batch size; deficit round-robin at the class
+    // weights picks its members. Deadlines are checked here, at formation.
+    b.formed = now;
+    b.live.clear();
+    b.expired.clear();
+    for (std::size_t i = 0; i < take; ++i) {
+      auto popped = e.queue.pop_next();
+      EB_ASSERT(popped.has_value(), "class queues shorter than their total");
+      EB_ASSERT(class_depth_[popped->first] > 0,
+                "class depth accounting underflow");
+      --class_depth_[popped->first];
+      Pending& r = popped->second;
+      (now >= r.deadline ? b.expired : b.live).push_back(std::move(r));
+    }
+    e.deadline_exceeded += b.expired.size();
+    if (!b.live.empty()) {
+      ++e.batches;
+      e.batched_requests += b.live.size();
+      if (e.batch_size_hist.size() <= b.live.size()) {
+        e.batch_size_hist.resize(b.live.size() + 1, 0);
+      }
+      ++e.batch_size_hist[b.live.size()];
+    }
+    if (e.queue.total_size() != 0) {
+      e.cv.notify_all();  // the remainder may already form the next batch
+    }
+    return true;
+  }
+}
+
+void Gateway::serve_batch(ModelEntry& e, std::size_t worker, Batch& b) {
+  for (auto& r : b.expired) {
+    Result res;
+    res.status = Status::kDeadlineExceeded;
+    res.queue_us = to_us(b.formed - r.enqueue);
+    res.total_us = res.queue_us;
+    finish(r.cls, r.done, std::move(res));
+  }
+  if (b.live.empty()) {
+    return;
+  }
+  std::vector<bnn::Tensor> inputs;
+  inputs.reserve(b.live.size());
+  for (auto& r : b.live) {
+    inputs.push_back(std::move(r.input));
+  }
+  std::vector<bnn::Tensor> outputs;
+  try {
+    outputs = e.runners.empty()
+                  ? e.handler(std::span<const bnn::Tensor>(inputs), pool_)
+                  : e.runners[worker]->forward_all(inputs);
+    EB_ASSERT(outputs.size() == b.live.size(),
+              "batch handler must produce one output per input");
+  } catch (...) {
+    // A failing batch fails every request in it.
+    for (auto& r : b.live) {
+      Result res;
+      res.status = Status::kInternalError;
+      finish(r.cls, r.done, std::move(res));
+    }
+    return;
+  }
+  const auto done = clk().now();
+  e.completed.fetch_add(b.live.size(), std::memory_order_relaxed);
+  for (std::size_t i = 0; i < b.live.size(); ++i) {
+    Pending& r = b.live[i];
+    Result res;
+    res.status = Status::kOk;
+    res.output = std::move(outputs[i]);
+    res.queue_us = to_us(b.formed - r.enqueue);
+    res.total_us = to_us(done - r.enqueue);
+    res.batch_size = b.live.size();
+    finish(r.cls, r.done, std::move(res));
+  }
 }
 
 void Gateway::finish(DeadlineClass cls, Completion& done, Result res) {
@@ -372,41 +476,28 @@ void Gateway::finish(DeadlineClass cls, Completion& done, Result res) {
   done(std::move(res));
 }
 
-void Gateway::shutdown() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    draining_ = true;
-  }
-  cv_.notify_all();
-  const std::lock_guard<std::mutex> join_lock(join_mu_);
-  if (joined_) {
-    return;
-  }
-  dispatcher_.join();  // exits once every admission queue is drained
-  std::vector<std::shared_ptr<ModelEntry>> entries;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    entries.reserve(models_.size());
-    for (const auto& [_, e] : models_) {
-      entries.push_back(e);
-    }
-  }
-  for (const auto& e : entries) {
-    e->server->shutdown();  // fulfils everything already forwarded
-  }
-  joined_ = true;
-}
-
 GatewaySnapshot Gateway::metrics() const {
   GatewaySnapshot s;
-  std::vector<std::shared_ptr<ModelEntry>> entries;
   std::array<std::size_t, kNumClasses> depth{};
   {
     const std::lock_guard<std::mutex> lock(mu_);
     depth = class_depth_;
-    entries.reserve(models_.size());
-    for (const auto& [_, e] : models_) {
-      entries.push_back(e);
+    s.models.reserve(models_.size());
+    for (const auto& [id, e] : models_) {
+      ModelSnapshot m;
+      m.id = id;
+      m.input_size = e->input_size;
+      m.server.submitted = e->submitted;
+      m.server.completed = e->completed.load(std::memory_order_relaxed);
+      m.server.deadline_exceeded = e->deadline_exceeded;
+      m.server.batches = e->batches;
+      m.server.batch_size_hist = e->batch_size_hist;
+      if (e->batches > 0) {
+        m.server.mean_batch_size = static_cast<double>(e->batched_requests) /
+                                   static_cast<double>(e->batches);
+      }
+      m.server.queue_depth = e->queue.total_size();
+      s.models.push_back(std::move(m));
     }
   }
   for (std::size_t c = 0; c < kNumClasses; ++c) {
@@ -422,11 +513,6 @@ GatewaySnapshot Gateway::metrics() const {
   s.canary_failures = canary_failures_.load(std::memory_order_relaxed);
   s.rewrites = rewrites_.load(std::memory_order_relaxed);
   s.rewrite_us_last = rewrite_us_last_.load(std::memory_order_relaxed);
-  s.models.reserve(entries.size());
-  for (const auto& e : entries) {
-    s.models.push_back(
-        ModelSnapshot{e->id, e->weight, e->input_size, e->server->metrics()});
-  }
   return s;
 }
 

@@ -1,41 +1,41 @@
 /// \file
-/// \brief Multi-model serving gateway: a named-model registry with
-/// weighted deadline-class admission in front of per-model serve::Servers.
+/// \brief Multi-model serving gateway: a named-model registry whose
+/// weighted deadline-class admission queues are the only request queue.
 ///
-/// serve::Server fronts exactly one model. A photonic accelerator
-/// deployment is inherently multi-tenant -- crossbar/wavelength resources
-/// are shared across workloads -- so the Gateway schedules many *named*
-/// models over one machine:
+/// A photonic accelerator deployment is inherently multi-tenant --
+/// crossbar/wavelength resources are shared across workloads -- so the
+/// Gateway schedules many *named* models over one machine:
 ///
-///     submit("mlp-a", x, kInteractive) ─┐   per-(model, class)      model
-///     submit("mlp-b", x, kBatch) ───────┼─> admission queues ──┐   servers
-///     TcpFrontend (wire frames) ────────┘   weighted-deficit   │  ┌───────┐
-///                                           round-robin        ├─>│ mlp-a │─┐
-///                                           dispatcher ────────┤  ├───────┤ ├─> ONE
-///                                           (3:1 under         └─>│ mlp-b │─┘  shared
-///                                            saturation)          └───────┘  ThreadPool
+///     submit("mlp-a", x, kInteractive) ─┐   per-(model, class)     batch workers
+///     submit("mlp-b", x, kBatch) ───────┼─> admission queues ──┐   (per model)
+///     TcpFrontend (wire frames) ────────┘   one weighted-      ├─> mlp-a x W ─┐
+///                                           deficit RR per     │              ├─> ONE
+///                                           model (3:1 under   └─> mlp-b x W ─┘  shared
+///                                           saturation)                         ThreadPool
 ///
 ///  * **Registry** -- register_model(id, ...) accepts a bnn::Network, any
 ///    serve::BatchHandler, or a map::MappedExecutor (adapted via
-///    serve::make_mapped_handler), each with its own batching config and a
-///    scheduling weight. Every model gets its own serve::Server whose
-///    workers all share the gateway's single re-entrant ThreadPool, so N
-///    models never oversubscribe the machine. unregister_model() drains
-///    the model's in-flight work (every accepted request is fulfilled) and
-///    rejects anything still waiting in the admission queues.
-///  * **Weighted admission** -- requests are admitted under a
+///    serve::make_mapped_handler), each with its own BatchingConfig. Every
+///    model gets `workers` batch workers (one bnn::BatchRunner each for a
+///    Network) that all fan out into the gateway's single re-entrant
+///    ThreadPool, so N models never oversubscribe the machine.
+///    unregister_model() drains the model: every accepted request is
+///    served before it returns.
+///  * **Weighted admission + batching** -- requests are admitted under a
 ///    DeadlineClass (interactive | batch | besteffort) into per-(model,
-///    class) FIFO queues, each bounded by the class's capacity partition.
-///    A dispatcher thread drains them with deficit round-robin at weight
-///    `model.weight x class.weight`, forwarding into a model's server only
-///    while that server has queue capacity (the server's on_dequeue hook
-///    wakes the dispatcher when capacity frees). Under saturation the
-///    admitted-throughput ratio between two queues matches their weight
-///    ratio. Requests without an explicit deadline inherit their class
-///    default; deadlines are end-to-end from gateway admission.
-///  * **Metrics** -- per-class gateway Metrics (admission-to-completion
-///    latency), per-model server snapshots, and an aggregated
-///    GatewaySnapshot for dashboards and the gateway_load CI gate.
+///    class) FIFO queues, each class bounded by its capacity partition.
+///    A model's workers form batches straight from its three class
+///    queues: a batch is anchored on the model's oldest queued request and
+///    closes at max_batch or when that request's batching window expires;
+///    the requests admitted within that window set the batch size, and a
+///    per-model deficit round-robin at the class weights picks which
+///    requests fill it. Under saturation the admitted-throughput ratio
+///    between two classes matches their weight ratio. Requests without an
+///    explicit deadline inherit their class default; deadlines are end to
+///    end from admission and are checked when the batch forms.
+///  * **Metrics** -- per-class Metrics (admission-to-completion latency),
+///    per-model batch counters, and an aggregated GatewaySnapshot for
+///    dashboards and the gateway_load CI gate.
 ///
 /// The wire protocol in serve/wire.hpp and the socket frontend in
 /// serve/tcp_frontend.hpp let a separate client process drive submit()
@@ -45,7 +45,6 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <future>
@@ -53,7 +52,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bnn/network.hpp"
@@ -69,22 +67,10 @@
 
 namespace eb::serve {
 
-/// Per-model server defaults for gateway-hosted models: identical to
-/// ServerConfig{} except for a *shallow* queue (2 x max_batch). The
-/// admission queues -- where the weighted scheduler arbitrates -- must be
-/// where backlog accumulates; a deep server queue would swallow the
-/// backlog FIFO and erase the weight ratios.
-[[nodiscard]] ServerConfig default_model_server_config();
-
 /// How one registered model is hosted.
 struct ModelConfig {
-  /// Queue + batching knobs of the model's own serve::Server.
-  /// pool_threads is ignored (all models share the gateway pool); keep
-  /// queue_capacity shallow (see default_model_server_config()).
-  ServerConfig server = default_model_server_config();
-  /// Scheduling weight multiplier (> 0): the model's (model, class) queue
-  /// weighs model.weight x class.weight in the dispatcher.
-  double weight = 1.0;
+  /// The model's dynamic-batching knobs and worker count.
+  BatchingConfig server;
   /// Expected request tensor element count; a mismatching submission is
   /// rejected at admission with kInvalidArgument instead of reaching a
   /// batch (where one malformed co-tenant request would fail every
@@ -102,9 +88,9 @@ struct GatewayConfig {
   /// Per-class scheduling weight, default deadline and admission-capacity
   /// partition (indexed by DeadlineClass).
   std::array<ClassConfig, kNumClasses> classes = default_class_configs();
-  /// Time source for admission stamps and deadlines; propagated into every
-  /// registered model's server (unless its ServerConfig sets its own).
-  /// nullptr = eb::Clock::real(). Must outlive the gateway.
+  /// Time source for admission stamps, deadlines, batching windows and
+  /// the metrics epoch. nullptr = eb::Clock::real(). Must outlive the
+  /// gateway.
   Clock* clock = nullptr;
   /// Directory load_model() (and therefore the wire's type-7 load op)
   /// resolves .ebm file names against. Empty disables model loading:
@@ -115,17 +101,19 @@ struct GatewayConfig {
 /// One registered model's slice of a GatewaySnapshot.
 struct ModelSnapshot {
   std::string id;                 ///< Registry name.
-  double weight = 1.0;            ///< ModelConfig::weight.
   /// ModelConfig::input_size after auto-derivation (0 = unchecked).
   /// Exported over the wire stats frame so a balancer can run the
   /// admission-time shape gate before picking a replica.
   std::size_t input_size = 0;
-  MetricsSnapshot server;         ///< The model server's own metrics.
+  /// The model's counters: submitted, completed, deadline_exceeded,
+  /// batches, batch_size_hist, mean_batch_size, and queue_depth = its
+  /// requests still queued for a batch (every class).
+  MetricsSnapshot server;
 };
 
 /// Consistent cut of everything the gateway recorded: per-class admission
 /// metrics (latencies are end-to-end from gateway admission), per-model
-/// server snapshots, and class-summed aggregates.
+/// batch counters, and class-summed aggregates.
 struct GatewaySnapshot {
   /// Indexed by DeadlineClass; queue_depth is the class's current
   /// admission-queue population across all models.
@@ -156,7 +144,7 @@ struct GatewaySnapshot {
   [[nodiscard]] std::string summary() const;
 };
 
-/// The multi-model registry + weighted-deficit admission scheduler.
+/// The multi-model registry, weighted admission queues and batch workers.
 class Gateway {
  public:
   explicit Gateway(GatewayConfig cfg = {});
@@ -190,9 +178,10 @@ class Gateway {
   /// plain file name, the file is missing/corrupt, or `id` is taken.
   void load_model(const std::string& id, const std::string& file,
                   ModelConfig mcfg = {});
-  /// Removes `id` from the registry: admission-queue stragglers complete
-  /// with kRejected, in-flight server work is drained (every accepted
-  /// request fulfilled). Returns false when no such model exists.
+  /// Removes `id` from the registry and drains it: new submissions for
+  /// `id` are rejected, every request already admitted is served (window
+  /// waits skipped) before this returns. Returns false when no such model
+  /// exists.
   bool unregister_model(const std::string& id);
   /// Registered model ids, sorted.
   [[nodiscard]] std::vector<std::string> model_ids() const;
@@ -209,14 +198,14 @@ class Gateway {
                              std::uint64_t deadline_us = 0);
   /// Callback flavor (the wire frontend's path): `done` runs exactly once
   /// with the terminal Result -- inline when rejected at admission, from a
-  /// serving thread otherwise.
+  /// batch worker otherwise.
   void submit_async(const std::string& model, bnn::Tensor input,
                     DeadlineClass cls, std::uint64_t deadline_us,
                     Completion done);
 
-  /// Stops admissions, drains every admission queue and every model
-  /// server (all accepted requests fulfilled), joins the dispatcher.
-  /// Idempotent; called by the destructor.
+  /// Stops admissions, drains every model (all accepted requests served,
+  /// window waits skipped) and joins the batch workers. Idempotent;
+  /// called by the destructor.
   void shutdown();
 
   /// Consistent cut of per-class, per-model and aggregate metrics.
@@ -228,45 +217,34 @@ class Gateway {
   /// wall-clock duration. Both surface in GatewaySnapshot and the wire
   /// stats frame.
   void record_rewrite(std::uint64_t duration_us);
-  /// The one pool every model server fans batches into.
+  /// The one pool every model's batches fan out into.
   [[nodiscard]] ThreadPool& pool() { return pool_; }
   /// Configuration the gateway was built with.
   [[nodiscard]] const GatewayConfig& config() const { return cfg_; }
 
  private:
+  struct Pending;     // one admitted request; defined in gateway.cpp
+  struct Batch;       // one formed batch; defined in gateway.cpp
   struct ModelEntry;  // registry slot; defined in gateway.cpp
-
-  /// One admitted request waiting in a (model, class) admission queue.
-  struct GwPending {
-    bnn::Tensor input;
-    Clock::time_point enqueue;
-    Clock::time_point deadline;  // Clock::time_point::max() = none
-    DeadlineClass cls = DeadlineClass::kInteractive;
-    Completion done;
-    std::shared_ptr<ModelEntry> entry;
-  };
 
   // The injected time source (cfg_.clock or the real clock).
   [[nodiscard]] Clock& clk() const {
     return cfg_.clock != nullptr ? *cfg_.clock : Clock::real();
   }
-  void install_entry(
-      const std::string& id, const ModelConfig& mcfg,
-      const std::function<std::unique_ptr<Server>(const ServerConfig&)>&
-          make_server,
-      std::shared_ptr<const bnn::Network> owned = nullptr);
-  void dispatcher_loop();
-  void forward(GwPending item);
+  void install_entry(const std::string& id, const ModelConfig& mcfg,
+                     BatchHandler handler, const bnn::Network* net,
+                     std::shared_ptr<const bnn::Network> owned = nullptr);
+  void worker_loop(ModelEntry& e, std::size_t worker);
+  bool form_batch(ModelEntry& e, Batch& b);
+  void serve_batch(ModelEntry& e, std::size_t worker, Batch& b);
+  void join_workers(const std::vector<std::shared_ptr<ModelEntry>>& entries);
   void finish(DeadlineClass cls, Completion& done, Result res);
 
   GatewayConfig cfg_;
   ThreadPool pool_;
 
-  mutable std::mutex mu_;  // registry + admission queues + DRR state
-  std::condition_variable cv_;
-  WeightedDrrQueue<GwPending> drr_;
+  mutable std::mutex mu_;  // registry + every model's queues and counters
   std::map<std::string, std::shared_ptr<ModelEntry>> models_;
-  std::vector<std::shared_ptr<ModelEntry>> slot_entry_;  // DRR handle -> model
   std::array<std::size_t, kNumClasses> class_depth_{};
   bool draining_ = false;
 
@@ -279,9 +257,7 @@ class Gateway {
   std::atomic<std::size_t> rewrites_{0};
   std::atomic<std::uint64_t> rewrite_us_last_{0};
 
-  std::thread dispatcher_;
-  std::mutex join_mu_;  // serializes shutdown()
-  bool joined_ = false;
+  std::mutex join_mu_;  // serializes joins of the batch workers
 };
 
 }  // namespace eb::serve

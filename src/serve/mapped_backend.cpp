@@ -12,7 +12,7 @@ namespace eb::serve {
 
 namespace {
 
-// Shared by every copy of the handler std::function (the Server may copy
+// Shared by every copy of the handler std::function (the gateway may copy
 // it); the mutex serializes only the per-batch split(), not the batch
 // execution itself.
 struct MappedHandlerState {

@@ -49,7 +49,7 @@ std::string MetricsSnapshot::summary() const {
   return buf;
 }
 
-Metrics::Metrics() : epoch_(std::chrono::steady_clock::now()) {}
+Metrics::Metrics(Clock& clock) : clock_(&clock), epoch_(clock.now()) {}
 
 void Metrics::record_submitted(std::size_t queue_depth_after) {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -73,16 +73,6 @@ void Metrics::record_deadline_exceeded() {
   ++deadline_exceeded_;
 }
 
-void Metrics::record_batch(std::size_t live) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  ++batches_;
-  batched_requests_ += live;
-  if (batch_size_hist_.size() <= live) {
-    batch_size_hist_.resize(live + 1, 0);
-  }
-  ++batch_size_hist_[live];
-}
-
 MetricsSnapshot Metrics::snapshot(std::size_t queue_depth) const {
   const std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot s;
@@ -90,14 +80,8 @@ MetricsSnapshot Metrics::snapshot(std::size_t queue_depth) const {
   s.completed = completed_;
   s.deadline_exceeded = deadline_exceeded_;
   s.rejected = rejected_;
-  s.batches = batches_;
   s.queue_depth = queue_depth;
   s.peak_queue_depth = peak_queue_depth_;
-  s.batch_size_hist = batch_size_hist_;
-  if (batches_ > 0) {
-    s.mean_batch_size = static_cast<double>(batched_requests_) /
-                        static_cast<double>(batches_);
-  }
   if (!latencies_us_.empty()) {
     // One sorted copy serves all three percentiles (snapshot holds mu_,
     // so recorders stall while this runs -- keep it to a single sort).
@@ -116,8 +100,7 @@ MetricsSnapshot Metrics::snapshot(std::size_t queue_depth) const {
     s.latency_p95_us = rank(95.0);
     s.latency_p99_us = rank(99.0);
   }
-  const auto now = std::chrono::steady_clock::now();
-  s.wall_s = std::chrono::duration<double>(now - epoch_).count();
+  s.wall_s = std::chrono::duration<double>(clock_->now() - epoch_).count();
   s.throughput_rps =
       s.wall_s > 0.0 ? static_cast<double>(completed_) / s.wall_s : 0.0;
   return s;

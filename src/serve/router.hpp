@@ -15,11 +15,12 @@
 ///    the pop stream interleaves queues in weight proportion (weights 3:1
 ///    => 3 pops from the first per 1 from the second, the property the
 ///    gateway fairness test and the gateway_load CI gate pin down).
-///    A per-pop eligibility predicate lets the caller mask queues whose
-///    downstream (a model server at queue capacity) cannot accept work;
-///    masked queues keep their credit -- they are backlogged, just
-///    blocked -- while *empty* queues forfeit it (idle queues must not
-///    bank credit, the classic DRR rule).
+///    A per-pop eligibility predicate lets the caller mask queues that
+///    cannot take work right now; masked queues keep their credit -- they
+///    are backlogged, just blocked -- while *empty* queues forfeit it
+///    (idle queues must not bank credit, the classic DRR rule). The
+///    gateway keeps one such scheduler per model, over its three class
+///    queues.
 #pragma once
 
 #include <algorithm>
@@ -57,7 +58,8 @@ inline constexpr std::size_t kNumClasses = 3;
 /// Per-class admission policy of a gateway.
 struct ClassConfig {
   /// Scheduling weight (> 0): under saturation the class receives this
-  /// share of dispatch slots relative to the other classes' weights.
+  /// share of a model's batch slots relative to the other classes'
+  /// weights.
   double weight = 1.0;
   /// Deadline applied to requests submitted without an explicit one;
   /// 0 = none. Measured from gateway admission (end to end).
@@ -118,6 +120,10 @@ class WeightedDrrQueue {
 
   [[nodiscard]] std::size_t size(std::size_t h) const {
     return at(h).items.size();
+  }
+  /// Queue `h`'s items, oldest first.
+  [[nodiscard]] const std::deque<Item>& items(std::size_t h) const {
+    return at(h).items;
   }
   [[nodiscard]] std::size_t total_size() const { return total_; }
 

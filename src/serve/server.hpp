@@ -1,72 +1,22 @@
 /// \file
-/// \brief Concurrent batch-serving layer over the batched inference engine.
+/// \brief Serving vocabulary shared by the gateway, the wire protocol and
+/// the mapped backends: request status and result, the batch-handler and
+/// completion signatures, and a model's dynamic-batching knobs.
 ///
-/// BatchRunner is a single-caller engine: one thread hands it a whole
-/// sample vector and waits. A serving workload is the opposite shape --
-/// many callers, one tensor each, latency budgets -- so serve::Server puts
-/// a request queue with a *dynamic batching* policy in front of N worker
-/// BatchRunners (Clipper-style adaptive batching / Triton-style delayed
-/// batch windows):
-///
-///     submit(Tensor) -> future<Result>
-///          |                                    workers (N threads)
-///          v                                   +-> BatchRunner --+
-///     [ lock-guarded FIFO queue ] -- batches --+-> BatchRunner --+-> shared
-///       close batch when max_batch             +-> BatchRunner --+   pool
-///       reached OR the oldest member's
-///       batching_window_us expires, whichever first
-///
-/// Policy details:
-///  * A request joins a batch only if it arrived within batching_window_us
-///    of the batch's oldest member -- window 0 therefore means "no
-///    coalescing" (every request is served alone), which is the baseline
-///    the load bench compares against. The window bounds a batch's age
-///    spread even when dispatch is late, so under sustained overload a
-///    batch holds at most ~window/inter-arrival-gap requests: pick a
-///    window of at least max_batch x the expected arrival gap to let
-///    batches fill (greedy backlog-filling would batch better there, but
-///    it would also erase the window-0 baseline and the age-spread
-///    latency bound). queue_capacity and deadlines are the overload
-///    backstops.
-///  * Per-request deadlines: a request whose deadline has passed when its
-///    batch is formed completes with Status::kDeadlineExceeded (it never
-///    occupies GEMM space, and it is never silently dropped).
-///  * shutdown() stops admissions, drains the queue (window waits are
-///    skipped while draining), and joins the workers; every accepted
-///    request's future is fulfilled before shutdown() returns. Submissions
-///    after shutdown -- and submissions that find the queue at
-///    queue_capacity -- complete immediately with Status::kRejected.
-///
-/// All workers share one re-entrant ThreadPool: a batch's layer fan-out
-/// and any nested crossbar-shard parallel_for (mapped executors take the
-/// same pool) interleave in one task queue instead of oversubscribing the
-/// machine with per-worker pools. See docs/SERVING.md for the lifecycle
-/// walk-through and a tuning guide.
-///
-/// The Network handler is bit-exact: every Result::output equals
-/// net.forward(input) no matter how requests were coalesced into batches,
-/// so serving is loss-free *and* reproducible under any interleaving.
+/// serve::Gateway (serve/gateway.hpp) is the one serving engine: it queues
+/// every admitted request once, and each model's batch workers form
+/// batches straight from those queues under the BatchingConfig below. See
+/// docs/SERVING.md for the request lifecycle and a tuning guide.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
-#include "bnn/batch_runner.hpp"
-#include "bnn/network.hpp"
 #include "bnn/tensor.hpp"
-#include "common/clock.hpp"
 #include "common/thread_pool.hpp"
-#include "serve/metrics.hpp"
 
 namespace eb::serve {
 
@@ -75,22 +25,23 @@ namespace eb::serve {
 enum class Status : std::uint8_t {
   kOk = 0,            ///< Served; Result::output is valid.
   kDeadlineExceeded,  ///< Expired before its batch was formed.
-  kRejected,          ///< Queue full, submitted after shutdown, or the
-                      ///< target model is not registered (gateway).
-  kInternalError,     ///< The batch handler threw (callback submissions
-                      ///< only -- future submissions carry the exception).
-  kInvalidArgument,   ///< Malformed request (wire frontend decode).
+  kRejected,          ///< Class queue full, submitted after shutdown, or
+                      ///< the target model is not registered.
+  kInternalError,     ///< The batch handler threw.
+  kInvalidArgument,   ///< Malformed request (shape gate, wire decode).
 };
 
 /// Lower-case wire/log name of a Status ("ok", "deadline_exceeded", ...).
 [[nodiscard]] const char* to_string(Status s);
 
-/// What a submitted request's future resolves to.
+/// What a submitted request resolves to.
 struct Result {
   Status status = Status::kRejected;  ///< Terminal state.
   bnn::Tensor output;        ///< Valid only when status == kOk.
-  double queue_us = 0.0;     ///< Submit -> batch formation, microseconds.
-  double total_us = 0.0;     ///< Submit -> promise fulfilled, microseconds.
+  /// Admission -> batch formation, microseconds: the whole wait the
+  /// requester saw before its batch started executing.
+  double queue_us = 0.0;
+  double total_us = 0.0;     ///< Admission -> completion, microseconds.
   std::size_t batch_size = 0;  ///< Live requests in the batch served with.
 
   /// True when the request was served (status == kOk).
@@ -99,141 +50,33 @@ struct Result {
 
 /// A batch executor: maps inputs[i] -> outputs[i] using `pool` for
 /// intra-batch parallelism. Must be safe to call concurrently from several
-/// worker threads (the Network handler is: const net + re-entrant pool;
+/// worker threads (the Network path is: const net + re-entrant pool;
 /// serve::make_mapped_handler builds one from any map::MappedExecutor).
 using BatchHandler = std::function<std::vector<bnn::Tensor>(
     std::span<const bnn::Tensor> inputs, ThreadPool& pool)>;
 
-/// Completion callback alternative to the future API: invoked exactly once
-/// per request with its terminal Result -- from a worker thread (served /
-/// expired / drained), or inline from submit_async when the request is
-/// rejected on admission. Handler exceptions surface as kInternalError
-/// (a callback has no exception channel). Keep callbacks cheap and never
-/// let them throw: they run on worker threads, where an escaping
-/// exception terminates the process. This is the hook the gateway's wire
-/// frontend uses to write responses back to sockets.
+/// Completion callback: invoked exactly once per request with its
+/// terminal Result -- from a batch worker (served / expired / failed), or
+/// inline from submit_async when the request is rejected on admission.
+/// Keep callbacks cheap and never let them throw: they run on worker
+/// threads, where an escaping exception terminates the process. The wire
+/// frontend uses it to write responses back to sockets.
 using Completion = std::function<void(Result)>;
 
-/// Tuning knobs of the dynamic-batching policy and the worker fleet.
-struct ServerConfig {
-  /// Batch closes as soon as it holds max_batch live requests...
+/// Dynamic-batching knobs of one registered model.
+struct BatchingConfig {
+  /// A batch closes as soon as it holds max_batch requests...
   std::size_t max_batch = 64;
-  /// ...or when the oldest member has waited this long. 0 disables
-  /// coalescing (serve singly) -- the no-batching baseline.
+  /// ...or when the model's oldest queued request has waited this long.
+  /// Only requests admitted within that window join, so 0 serves every
+  /// request alone -- the no-batching baseline.
   std::uint64_t batching_window_us = 1000;
-  /// Worker threads, each forming + executing batches independently.
+  /// Batch workers, each forming and executing batches independently.
   std::size_t workers = 2;
-  /// Shared pool concurrency for intra-batch fan-out (0 = EB_THREADS /
-  /// hardware concurrency, 1 = inline).
-  std::size_t pool_threads = 1;
-  /// submit() beyond this queue depth completes with kRejected
-  /// (backpressure instead of unbounded memory growth).
-  std::size_t queue_capacity = 65536;
-  /// Deadline applied to submit(Tensor) without an explicit one; 0 = none.
-  std::uint64_t default_deadline_us = 0;
-  /// External-queue hook: invoked (outside the queue lock, from a worker
-  /// thread) every time a batch is popped and queue capacity frees up.
-  /// serve::Gateway uses it to top a shallow server queue back up from its
-  /// weighted admission queues without polling. Leave empty when unused.
-  std::function<void()> on_dequeue;
-  /// Time source for enqueue stamps, deadlines and batching-window waits.
-  /// nullptr = eb::Clock::real(). Tests inject an eb::VirtualClock here to
-  /// drive window expiry and deadline gates without wall-clock sleeps; the
-  /// clock must outlive the server.
-  Clock* clock = nullptr;
-};
-
-/// The request queue + dynamic batcher + worker fleet.
-class Server {
- public:
-  /// Serves net.forward bit-exactly via per-worker BatchRunners.
-  Server(const bnn::Network& net, ServerConfig cfg = {});
-  /// Serves an arbitrary batch function (e.g. a mapped-crossbar executor
-  /// wrapped by serve::make_mapped_handler).
-  Server(BatchHandler handler, ServerConfig cfg = {});
-  /// As above, but all intra-batch work runs on `shared_pool` instead of a
-  /// pool this server owns (cfg.pool_threads is ignored). The pool must
-  /// outlive the server. serve::Gateway hosts every registered model's
-  /// server on one such pool.
-  Server(const bnn::Network& net, ThreadPool& shared_pool,
-         ServerConfig cfg = {});
-  /// Shared-pool custom-handler mode; see above.
-  Server(BatchHandler handler, ThreadPool& shared_pool,
-         ServerConfig cfg = {});
-  /// Graceful: shutdown() if still running.
-  ~Server();
-
-  Server(const Server&) = delete;             ///< Owns threads: not copyable.
-  Server& operator=(const Server&) = delete;  ///< Owns threads: not copyable.
-
-  /// Enqueue one request under the default deadline. Always returns a
-  /// future that will be fulfilled: kOk with the output,
-  /// kDeadlineExceeded, or kRejected.
-  std::future<Result> submit(bnn::Tensor input);
-  /// Enqueue one request with an explicit deadline (microseconds from
-  /// submission; 0 = none).
-  std::future<Result> submit(bnn::Tensor input, std::uint64_t deadline_us);
-  /// Callback flavor of submit: `done` is invoked exactly once with the
-  /// terminal Result (inline when rejected on admission, from a worker
-  /// thread otherwise). Handler exceptions become kInternalError.
-  void submit_async(bnn::Tensor input, std::uint64_t deadline_us,
-                    Completion done);
-
-  /// Stop admissions, serve everything already queued, join workers.
-  /// Idempotent; called by the destructor.
-  void shutdown();
-
-  /// Consistent cut of the serving counters and latency distributions.
-  [[nodiscard]] MetricsSnapshot metrics() const;
-  /// Requests currently queued (excludes in-flight batches).
-  [[nodiscard]] std::size_t queue_depth() const;
-  /// Configuration the server was built with.
-  [[nodiscard]] const ServerConfig& config() const { return cfg_; }
-  /// The intra-batch pool (owned, or the shared pool passed at
-  /// construction); mapped handlers run on it.
-  [[nodiscard]] ThreadPool& pool() { return *pool_; }
-
- private:
-  struct Pending {
-    bnn::Tensor input;
-    std::promise<Result> promise;
-    Completion done;  // callback mode when set; promise mode otherwise
-    Clock::time_point enqueue;
-    Clock::time_point deadline;  // Clock::time_point::max() = none
-  };
-
-  void validate_config() const;
-  // The injected time source (cfg_.clock or the real clock).
-  [[nodiscard]] Clock& clk() const {
-    return cfg_.clock != nullptr ? *cfg_.clock : Clock::real();
-  }
-  void start_workers();
-  static void fulfil(Pending& r, Result res);
-  void worker_loop(std::size_t worker_idx);
-  // Pops one batch under the dynamic-batching policy. Returns false when
-  // draining and the queue is empty (worker exits).
-  bool form_batch(std::vector<Pending>& batch);
-  void serve_batch(std::size_t worker_idx, std::vector<Pending> batch);
-  std::future<Result> enqueue(bnn::Tensor input, std::uint64_t deadline_us,
-                              Completion done, bool want_future);
-
-  ServerConfig cfg_;
-  std::unique_ptr<ThreadPool> owned_pool_;  // null in shared-pool mode
-  ThreadPool* pool_;                        // owned_pool_ or the shared one
-  BatchHandler handler_;
-  // Network mode: one runner per worker, all sharing pool_. Empty in
-  // custom-handler mode.
-  std::vector<std::unique_ptr<bnn::BatchRunner>> runners_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Pending> queue_;
-  bool draining_ = false;
-  std::vector<std::thread> workers_;
-  std::mutex join_mu_;  // serializes shutdown(); cannot hold mu_ across join
-  bool joined_ = false;
-
-  Metrics metrics_;
+  /// Inert: no longer read. Backlog is bounded by the admitting class's
+  /// ClassConfig::queue_capacity; the field stays so configurations that
+  /// still set it keep compiling.
+  std::size_t queue_capacity = 0;
 };
 
 }  // namespace eb::serve

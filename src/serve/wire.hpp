@@ -137,8 +137,8 @@ struct RequestFrame {
 struct ResponseFrame {
   std::uint64_t request_id = 0;  ///< Matches the request.
   Status status = Status::kRejected;  ///< Terminal request status.
-  double queue_us = 0.0;   ///< Result::queue_us.
-  double total_us = 0.0;   ///< Result::total_us (end-to-end).
+  double queue_us = 0.0;   ///< Result::queue_us: admission -> batch formation.
+  double total_us = 0.0;   ///< Result::total_us: admission -> completion.
   bnn::Tensor tensor;      ///< Output; empty unless status == kOk.
 };
 
@@ -154,7 +154,7 @@ struct PingFrame {
 struct StatsModel {
   std::string id;                 ///< Registry name.
   std::uint64_t input_size = 0;   ///< Declared request width; 0 = unchecked.
-  std::uint64_t queue_depth = 0;  ///< The model server's current backlog.
+  std::uint64_t queue_depth = 0;  ///< Requests queued for the model, all classes.
   std::uint64_t completed = 0;    ///< Requests the model completed.
 };
 

@@ -302,7 +302,6 @@ TEST(Gateway, WeightedSchedulingApproaches3To1UnderSaturation) {
   mcfg.server.max_batch = 1;  // serve singly: completion order == dispatch order
   mcfg.server.batching_window_us = 0;
   mcfg.server.workers = 1;
-  mcfg.server.queue_capacity = 1;  // backlog pools at the gateway
   gw.register_model(
       "slow",
       [](std::span<const Tensor> batch, ThreadPool&) -> std::vector<Tensor> {
@@ -349,6 +348,72 @@ TEST(Gateway, WeightedSchedulingApproaches3To1UnderSaturation) {
   EXPECT_LE(ratio, 3.0 * 1.2) << "interactive " << interactive;
 }
 
+// With a window, the window decides how many requests a batch takes and
+// the class weights decide which: a 16-request backlog split evenly over
+// weights 3:1 fills batches of 4 in deficit round-robin order.
+TEST(Gateway, WindowedBatchesFillInClassWeightOrder) {
+  VirtualClock vclock;  // frozen: the 1 ms window never expires
+  std::mutex mu;
+  std::vector<std::string> batches;  // one letter per member, in order
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  GatewayConfig gcfg;
+  gcfg.pool_threads = 1;
+  gcfg.clock = &vclock;
+  gcfg.classes[static_cast<std::size_t>(DeadlineClass::kInteractive)] = {
+      /*weight=*/3.0, /*default_deadline_us=*/0, /*queue_capacity=*/64};
+  gcfg.classes[static_cast<std::size_t>(DeadlineClass::kBatch)] = {
+      /*weight=*/1.0, /*default_deadline_us=*/0, /*queue_capacity=*/64};
+  Gateway gw(gcfg);
+  ModelConfig mcfg;
+  mcfg.server.max_batch = 4;
+  mcfg.server.batching_window_us = 1000;
+  mcfg.server.workers = 1;
+  gw.register_model(
+      "m",
+      [&](std::span<const Tensor> batch, ThreadPool&) -> std::vector<Tensor> {
+        std::string members;
+        for (const auto& t : batch) {
+          members += t[0] == 1.0 ? 'i' : (t[0] == 2.0 ? 'b' : 'x');
+        }
+        {
+          const std::lock_guard<std::mutex> lock(mu);
+          batches.push_back(members);
+        }
+        if (members == "x") {
+          entered.set_value();  // the blocker: park until the backlog is in
+          released.wait();
+        }
+        return {batch.begin(), batch.end()};
+      },
+      mcfg);
+  // The lone blocker cannot fill a batch of 4, so its window closes it:
+  // advance past the window, then queue the backlog while it is parked.
+  auto blocker = gw.submit("m", Tensor({1}), DeadlineClass::kBestEffort);
+  vclock.advance_us(1000);
+  entered.get_future().wait();
+  std::vector<std::future<Result>> futures;
+  for (int k = 0; k < 8; ++k) {
+    Tensor i({1});
+    i[0] = 1.0;
+    Tensor b({1});
+    b[0] = 2.0;
+    futures.push_back(gw.submit("m", i, DeadlineClass::kInteractive));
+    futures.push_back(gw.submit("m", b, DeadlineClass::kBatch));
+  }
+  release.set_value();
+  EXPECT_EQ(blocker.get().status, Status::kOk);
+  for (auto& f : futures) {
+    EXPECT_EQ(f.get().status, Status::kOk);
+  }
+  const std::lock_guard<std::mutex> lock(mu);
+  // Three interactive requests per batch request while both classes are
+  // backlogged.
+  EXPECT_EQ(batches, (std::vector<std::string>{"x", "iiib", "biii", "iibb",
+                                               "bbbb"}));
+}
+
 // -------------------------------------------------------------- deadlines --
 
 TEST(Gateway, ClassDefaultDeadlineAppliesAndExpiresAsDeadlineExceeded) {
@@ -367,7 +432,6 @@ TEST(Gateway, ClassDefaultDeadlineAppliesAndExpiresAsDeadlineExceeded) {
   mcfg.server.max_batch = 1;
   mcfg.server.batching_window_us = 0;
   mcfg.server.workers = 1;
-  mcfg.server.queue_capacity = 1;
   // The handler parks until every request is admitted (so all deadlines
   // anchor to the same virtual instant), then each service costs exactly
   // 3 virtual milliseconds.
@@ -414,6 +478,79 @@ TEST(Gateway, ClassDefaultDeadlineAppliesAndExpiresAsDeadlineExceeded) {
       snap.classes[static_cast<std::size_t>(DeadlineClass::kInteractive)];
   EXPECT_EQ(icls.deadline_exceeded, expired);
   EXPECT_EQ(icls.completed + icls.deadline_exceeded, interactive.size());
+}
+
+// Parks a one-worker, max_batch-1 model's handler on its first batch:
+// every later request stays queued in the gateway until release().
+struct ParkedModel {
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> first{true};
+
+  serve::BatchHandler handler(VirtualClock* vclock) {
+    return [this, vclock](std::span<const Tensor> batch,
+                          ThreadPool&) -> std::vector<Tensor> {
+      if (first.exchange(false)) {
+        entered.set_value();
+      }
+      released.wait();
+      if (vclock != nullptr) {
+        vclock->advance_us(3'000);
+      }
+      return {batch.begin(), batch.end()};
+    };
+  }
+};
+
+TEST(Gateway, QueueUsCoversTheWholeAdmissionWait) {
+  VirtualClock vclock;
+  ParkedModel parked;  // outlives the gateway's workers
+  GatewayConfig gcfg;
+  gcfg.pool_threads = 1;
+  gcfg.clock = &vclock;
+  Gateway gw(gcfg);
+  ModelConfig mcfg;  // default window; one request per batch, one worker
+  mcfg.server.max_batch = 1;
+  mcfg.server.workers = 1;
+  gw.register_model("m", parked.handler(&vclock), mcfg);
+  // A backlog deeper than 2 x the default max_batch, admitted at t0.
+  constexpr std::size_t kRequests = 130;
+  std::vector<std::future<Result>> futures;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    futures.push_back(gw.submit("m", Tensor({1}), DeadlineClass::kBestEffort));
+  }
+  parked.release.set_value();
+  // Each batch costs 3 virtual ms, so request i's batch forms at
+  // t0 + 3i ms: that whole wait since admission is queue time.
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const Result r = futures[i].get();
+    ASSERT_EQ(r.status, Status::kOk) << to_string(r.status);
+    EXPECT_EQ(r.queue_us, 3000.0 * static_cast<double>(i)) << "request " << i;
+  }
+}
+
+TEST(Gateway, ModelQueueDepthIsTheWholeBacklog) {
+  ParkedModel parked;  // outlives the gateway's workers
+  Gateway gw;
+  ModelConfig mcfg;
+  mcfg.server.max_batch = 1;
+  mcfg.server.workers = 1;
+  gw.register_model("m", parked.handler(nullptr), mcfg);
+  constexpr std::size_t kRequests = 200;
+  std::vector<std::future<Result>> futures;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    futures.push_back(gw.submit("m", Tensor({1}), DeadlineClass::kBestEffort));
+  }
+  parked.entered.get_future().wait();
+  // One request is in the parked batch; every other one is backlog that a
+  // least-loaded balancer must see.
+  EXPECT_EQ(gw.metrics().models[0].server.queue_depth, kRequests - 1);
+  parked.release.set_value();
+  for (auto& f : futures) {
+    EXPECT_EQ(f.get().status, Status::kOk);
+  }
+  EXPECT_EQ(gw.metrics().models[0].server.queue_depth, 0u);
 }
 
 // ---------------------------------------------------------- registry churn --

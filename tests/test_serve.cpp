@@ -1,7 +1,7 @@
-// Serving-layer suite: serve::Server's dynamic batching policy, deadline
-// budgets, drain semantics and metrics, plus the shared-pool plumbing it
-// rides on (BatchRunner external-pool mode, TacitMapElectrical batch
-// execution).
+// Serving-layer suite: the dynamic batching policy, deadline budgets,
+// drain semantics and metrics of a one-model serve::Gateway, plus the
+// shared-pool plumbing it rides on (BatchRunner external-pool mode,
+// TacitMapElectrical batch execution).
 //
 // Contracts under test:
 //  * concurrent submit() from many threads is loss-free and every output
@@ -12,7 +12,7 @@
 //  * expired requests complete with kDeadlineExceeded, never dropped;
 //  * shutdown() drains: every accepted request's future is fulfilled;
 //  * the whole suite is run by CI under EB_THREADS=1 and 4 and under
-//    ThreadSanitizer (the queue is the first real producer/consumer path).
+//    ThreadSanitizer (the queues are a real producer/consumer path).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -39,8 +39,9 @@
 #include "mapping/executor.hpp"
 #include "mapping/tacitmap.hpp"
 #include "mapping/task.hpp"
-#include "serve/mapped_backend.hpp"
+#include "serve/gateway.hpp"
 #include "serve/metrics.hpp"
+#include "serve/router.hpp"
 #include "serve/server.hpp"
 
 namespace eb {
@@ -48,9 +49,11 @@ namespace {
 
 using bnn::Network;
 using bnn::Tensor;
+using serve::DeadlineClass;
+using serve::Gateway;
+using serve::GatewayConfig;
+using serve::ModelConfig;
 using serve::Result;
-using serve::Server;
-using serve::ServerConfig;
 using serve::Status;
 
 constexpr std::size_t kInputDim = 64;
@@ -124,24 +127,55 @@ TEST(Percentile, NearestRankResistsFloatRoundUp) {
   EXPECT_DOUBLE_EQ(serve::percentile(xs, 100.0), 20.0);
 }
 
-// ----------------------------------------------------------- basic serve --
+// -------------------------------------------------- one-model gateway --
 
-TEST(Server, SingleRequestMatchesForward) {
+// Every test below serves one model, "m", under the best-effort class,
+// which has no default deadline.
+constexpr DeadlineClass kCls = DeadlineClass::kBestEffort;
+
+GatewayConfig one_model_config(std::size_t pool_threads = 1,
+                               Clock* clock = nullptr) {
+  GatewayConfig gcfg;
+  gcfg.pool_threads = pool_threads;
+  gcfg.clock = clock;
+  return gcfg;
+}
+
+std::future<Result> submit(Gateway& gw, const Tensor& x,
+                           std::uint64_t deadline_us = 0) {
+  return gw.submit("m", x, kCls, deadline_us);
+}
+
+// Model "m"'s batch counters and the class's latency metrics.
+serve::MetricsSnapshot model_metrics(const Gateway& gw) {
+  for (const auto& m : gw.metrics().models) {
+    if (m.id == "m") {
+      return m.server;
+    }
+  }
+  ADD_FAILURE() << "model m is not registered";
+  return {};
+}
+serve::MetricsSnapshot class_metrics(const Gateway& gw) {
+  return gw.metrics().classes[static_cast<std::size_t>(kCls)];
+}
+
+TEST(OneModelGateway, SingleRequestMatchesForward) {
   const Network net = make_net();
   const auto inputs = make_inputs(1);
-  ServerConfig cfg;
-  cfg.batching_window_us = 0;  // serve immediately
-  cfg.workers = 1;
-  Server server(net, cfg);
-  auto fut = server.submit(inputs[0]);
-  const Result res = fut.get();
+  Gateway gw(one_model_config());
+  ModelConfig cfg;
+  cfg.server.batching_window_us = 0;  // serve immediately
+  cfg.server.workers = 1;
+  gw.register_model("m", net, cfg);
+  const Result res = submit(gw, inputs[0]).get();
   ASSERT_EQ(res.status, Status::kOk) << to_string(res.status);
   EXPECT_EQ(res.batch_size, 1u);
   EXPECT_GE(res.total_us, res.queue_us);
   expect_tensors_equal(res.output, net.forward(inputs[0]), 0);
 }
 
-TEST(Server, ConcurrentSubmitIsLossFreeAndBitIdentical) {
+TEST(OneModelGateway, ConcurrentSubmitIsLossFreeAndBitIdentical) {
   const Network net = make_net();
   constexpr std::size_t kClients = 6;
   constexpr std::size_t kPerClient = 24;
@@ -154,12 +188,13 @@ TEST(Server, ConcurrentSubmitIsLossFreeAndBitIdentical) {
     want.push_back(net.forward(in));
   }
 
-  ServerConfig cfg;
-  cfg.max_batch = 16;
-  cfg.batching_window_us = 500;
-  cfg.workers = 3;
-  cfg.pool_threads = 0;  // EB_THREADS-controlled: CI sweeps 1 and 4
-  Server server(net, cfg);
+  // EB_THREADS-controlled pool: CI sweeps 1 and 4.
+  Gateway gw(one_model_config(/*pool_threads=*/0));
+  ModelConfig cfg;
+  cfg.server.max_batch = 16;
+  cfg.server.batching_window_us = 500;
+  cfg.server.workers = 3;
+  gw.register_model("m", net, cfg);
 
   std::vector<std::future<Result>> futures(inputs.size());
   std::vector<std::thread> clients;
@@ -168,7 +203,7 @@ TEST(Server, ConcurrentSubmitIsLossFreeAndBitIdentical) {
     clients.emplace_back([&, c] {
       for (std::size_t i = 0; i < kPerClient; ++i) {
         const std::size_t idx = c * kPerClient + i;
-        futures[idx] = server.submit(inputs[idx]);
+        futures[idx] = submit(gw, inputs[idx]);
       }
     });
   }
@@ -180,31 +215,33 @@ TEST(Server, ConcurrentSubmitIsLossFreeAndBitIdentical) {
     ASSERT_EQ(res.status, Status::kOk)
         << "sample " << i << ": " << to_string(res.status);
     ASSERT_GE(res.batch_size, 1u);
-    ASSERT_LE(res.batch_size, cfg.max_batch);
+    ASSERT_LE(res.batch_size, cfg.server.max_batch);
     expect_tensors_equal(res.output, want[i], i);
   }
 
-  const auto m = server.metrics();
-  EXPECT_EQ(m.submitted, inputs.size());
-  EXPECT_EQ(m.completed, inputs.size());
-  EXPECT_EQ(m.deadline_exceeded, 0u);
-  EXPECT_EQ(m.rejected, 0u);
+  const auto snap = gw.metrics();
+  EXPECT_EQ(snap.submitted, inputs.size());
+  EXPECT_EQ(snap.completed, inputs.size());
+  EXPECT_EQ(snap.deadline_exceeded, 0u);
+  EXPECT_EQ(snap.rejected, 0u);
+  EXPECT_EQ(snap.models.at(0).server.completed, inputs.size());
 }
 
 // -------------------------------------------------------- batching policy --
 
-TEST(Server, FullBatchClosesBeforeWindowExpires) {
+TEST(OneModelGateway, FullBatchClosesBeforeWindowExpires) {
   const Network net = make_net();
   const auto inputs = make_inputs(4);
-  ServerConfig cfg;
-  cfg.max_batch = 4;
-  cfg.batching_window_us = 10'000'000;  // 10 s: only max_batch can close it
-  cfg.workers = 1;
   const auto t0 = std::chrono::steady_clock::now();
-  Server server(net, cfg);
+  Gateway gw(one_model_config());
+  ModelConfig cfg;
+  cfg.server.max_batch = 4;
+  cfg.server.batching_window_us = 10'000'000;  // 10 s: only max_batch can close it
+  cfg.server.workers = 1;
+  gw.register_model("m", net, cfg);
   std::vector<std::future<Result>> futures;
   for (const auto& in : inputs) {
-    futures.push_back(server.submit(in));
+    futures.push_back(submit(gw, in));
   }
   for (auto& f : futures) {
     const Result res = f.get();
@@ -217,21 +254,21 @@ TEST(Server, FullBatchClosesBeforeWindowExpires) {
   EXPECT_LT(elapsed_s, 5.0);  // nowhere near the 10 s window
 }
 
-TEST(Server, WindowExpiryDispatchesPartialBatch) {
+TEST(OneModelGateway, WindowExpiryDispatchesPartialBatch) {
   const Network net = make_net();
   const auto inputs = make_inputs(3);
   // Virtual time: the 50 ms window expires because the test advances the
   // clock, not because anything sleeps 50 ms.
   VirtualClock vclock;
-  ServerConfig cfg;
-  cfg.max_batch = 64;
-  cfg.batching_window_us = 50'000;  // 50 ms (virtual)
-  cfg.workers = 1;
-  cfg.clock = &vclock;
-  Server server(net, cfg);
+  Gateway gw(one_model_config(1, &vclock));
+  ModelConfig cfg;
+  cfg.server.max_batch = 64;
+  cfg.server.batching_window_us = 50'000;  // 50 ms (virtual)
+  cfg.server.workers = 1;
+  gw.register_model("m", net, cfg);
   std::vector<std::future<Result>> futures;
   for (const auto& in : inputs) {
-    futures.push_back(server.submit(in));
+    futures.push_back(submit(gw, in));
   }
   vclock.advance_us(50'000);  // expire the window
   for (auto& f : futures) {
@@ -241,48 +278,49 @@ TEST(Server, WindowExpiryDispatchesPartialBatch) {
     // request that arrived inside it on board.
     EXPECT_EQ(res.batch_size, 3u);
     // Latencies are measured on the injected clock: the batch formed
-    // exactly one (virtual) window after enqueue.
+    // exactly one (virtual) window after admission.
     EXPECT_GE(res.queue_us, 50'000.0);
   }
 }
 
-TEST(Server, ZeroWindowServesSingletonBatches) {
+TEST(OneModelGateway, ZeroWindowServesSingletonBatches) {
   const Network net = make_net();
   const auto inputs = make_inputs(6);
-  ServerConfig cfg;
-  cfg.max_batch = 64;
-  cfg.batching_window_us = 0;  // no coalescing
-  cfg.workers = 1;
-  Server server(net, cfg);
+  Gateway gw(one_model_config());
+  ModelConfig cfg;
+  cfg.server.max_batch = 64;
+  cfg.server.batching_window_us = 0;  // no coalescing
+  cfg.server.workers = 1;
+  gw.register_model("m", net, cfg);
   std::vector<std::future<Result>> futures;
   for (const auto& in : inputs) {
-    futures.push_back(server.submit(in));
+    futures.push_back(submit(gw, in));
   }
   for (auto& f : futures) {
     const Result res = f.get();
     ASSERT_EQ(res.status, Status::kOk);
     EXPECT_EQ(res.batch_size, 1u);
   }
-  const auto m = server.metrics();
+  const auto m = model_metrics(gw);
   EXPECT_EQ(m.batches, 6u);
   EXPECT_DOUBLE_EQ(m.mean_batch_size, 1.0);
 }
 
 // ------------------------------------------------------ deadlines / drain --
 
-TEST(Server, ExpiredRequestsCompleteWithDeadlineExceeded) {
+TEST(OneModelGateway, ExpiredRequestsCompleteWithDeadlineExceeded) {
   const Network net = make_net();
   const auto inputs = make_inputs(8);
   VirtualClock vclock;
-  ServerConfig cfg;
-  cfg.max_batch = 1024;
-  cfg.batching_window_us = 30'000;  // 30 ms window...
-  cfg.workers = 1;
-  cfg.clock = &vclock;
-  Server server(net, cfg);
+  Gateway gw(one_model_config(1, &vclock));
+  ModelConfig cfg;
+  cfg.server.max_batch = 1024;
+  cfg.server.batching_window_us = 30'000;  // 30 ms window...
+  cfg.server.workers = 1;
+  gw.register_model("m", net, cfg);
   std::vector<std::future<Result>> futures;
   for (const auto& in : inputs) {
-    futures.push_back(server.submit(in, /*deadline_us=*/1000));  // ...1 ms
+    futures.push_back(submit(gw, in, /*deadline_us=*/1000));  // ...1 ms
   }
   // One virtual step past the window: every deadline (1 ms) expired long
   // before the batch could form at the 30 ms mark.
@@ -292,66 +330,75 @@ TEST(Server, ExpiredRequestsCompleteWithDeadlineExceeded) {
     EXPECT_EQ(res.status, Status::kDeadlineExceeded);
     EXPECT_EQ(res.output.size(), 0u);
   }
-  const auto m = server.metrics();
+  const auto m = model_metrics(gw);
   EXPECT_EQ(m.deadline_exceeded, 8u);
   EXPECT_EQ(m.completed, 0u);
 }
 
-TEST(Server, ShutdownDrainsEveryAcceptedRequest) {
+TEST(OneModelGateway, ShutdownDrainsEveryAcceptedRequest) {
   const Network net = make_net();
   const auto inputs = make_inputs(50);
-  ServerConfig cfg;
-  cfg.max_batch = 8;
-  cfg.batching_window_us = 1'000'000;  // 1 s: drain must not wait for it
-  cfg.workers = 2;
-  Server server(net, cfg);
+  Gateway gw(one_model_config());
+  ModelConfig cfg;
+  cfg.server.max_batch = 8;
+  cfg.server.batching_window_us = 1'000'000;  // 1 s: drain must not wait for it
+  cfg.server.workers = 2;
+  gw.register_model("m", net, cfg);
   std::vector<std::future<Result>> futures;
   for (const auto& in : inputs) {
-    futures.push_back(server.submit(in));
+    futures.push_back(submit(gw, in));
   }
-  server.shutdown();  // returns only after the queue is drained
+  gw.shutdown();  // returns only after the queues are drained
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const Result res = futures[i].get();
     EXPECT_EQ(res.status, Status::kOk) << "sample " << i;
   }
-  const auto m = server.metrics();
+  const auto m = model_metrics(gw);
   EXPECT_EQ(m.completed, 50u);
   EXPECT_EQ(m.queue_depth, 0u);
 }
 
-TEST(Server, SubmitAfterShutdownIsRejected) {
+TEST(OneModelGateway, SubmitAfterShutdownIsRejected) {
   const Network net = make_net();
-  ServerConfig cfg;
-  cfg.workers = 1;
-  Server server(net, cfg);
-  server.shutdown();
-  auto fut = server.submit(make_inputs(1)[0]);
+  Gateway gw(one_model_config());
+  ModelConfig cfg;
+  cfg.server.workers = 1;
+  gw.register_model("m", net, cfg);
+  gw.shutdown();
+  auto fut = submit(gw, make_inputs(1)[0]);
   EXPECT_EQ(fut.get().status, Status::kRejected);
-  EXPECT_EQ(server.metrics().rejected, 1u);
+  EXPECT_EQ(class_metrics(gw).rejected, 1u);
 }
 
-TEST(Server, SubmitAsyncDeliversCallbackOnExternalSharedPool) {
+TEST(OneModelGateway, SubmitAsyncDeliversCallbackOnTheSharedPool) {
   const Network net = make_net();
   const auto inputs = make_inputs(12);
-  ThreadPool shared_pool(2);
-  ServerConfig cfg;
-  cfg.max_batch = 4;
-  cfg.batching_window_us = 300;
-  cfg.workers = 2;
-  std::atomic<std::size_t> dequeues{0};
-  cfg.on_dequeue = [&] { dequeues.fetch_add(1); };
-  Server server(net, shared_pool, cfg);  // shared-pool ctor
-  EXPECT_EQ(&server.pool(), &shared_pool);
+  Gateway gw(one_model_config(/*pool_threads=*/2));
+  ModelConfig cfg;
+  cfg.server.max_batch = 4;
+  cfg.server.batching_window_us = 300;
+  cfg.server.workers = 2;
+  gw.register_model("m", net, cfg);
+  // A handler model on the same gateway receives the gateway's one pool.
+  std::atomic<const ThreadPool*> handler_pool{nullptr};
+  gw.register_model(
+      "h",
+      [&](std::span<const Tensor> batch, ThreadPool& pool) {
+        handler_pool.store(&pool);
+        return std::vector<Tensor>(batch.begin(), batch.end());
+      },
+      cfg);
 
   std::mutex mu;
   std::vector<std::pair<std::size_t, Result>> got;
   std::condition_variable cv;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    server.submit_async(inputs[i], /*deadline_us=*/0, [&, i](Result r) {
-      const std::lock_guard<std::mutex> lock(mu);
-      got.emplace_back(i, std::move(r));
-      cv.notify_all();
-    });
+    gw.submit_async("m", inputs[i], kCls, /*deadline_us=*/0,
+                    [&, i](Result r) {
+                      const std::lock_guard<std::mutex> lock(mu);
+                      got.emplace_back(i, std::move(r));
+                      cv.notify_all();
+                    });
   }
   {
     std::unique_lock<std::mutex> lock(mu);
@@ -362,45 +409,51 @@ TEST(Server, SubmitAsyncDeliversCallbackOnExternalSharedPool) {
     ASSERT_EQ(res.status, Status::kOk) << "sample " << i;
     expect_tensors_equal(res.output, net.forward(inputs[i]), i);
   }
-  EXPECT_GE(dequeues.load(), 1u);  // external-queue hook fired per batch
+  EXPECT_GE(model_metrics(gw).batches, inputs.size() / cfg.server.max_batch);
+  ASSERT_EQ(gw.submit("h", inputs[0], kCls).get().status, Status::kOk);
+  EXPECT_EQ(handler_pool.load(), &gw.pool());
 }
 
-TEST(Server, CallbackModeHandlerExceptionBecomesInternalError) {
-  ServerConfig cfg;
-  cfg.workers = 1;
-  cfg.batching_window_us = 0;
-  Server server(
+TEST(OneModelGateway, HandlerExceptionBecomesInternalError) {
+  Gateway gw(one_model_config());
+  ModelConfig cfg;
+  cfg.server.workers = 1;
+  cfg.server.batching_window_us = 0;
+  gw.register_model(
+      "m",
       [](std::span<const Tensor>, ThreadPool&) -> std::vector<Tensor> {
         throw std::runtime_error("backend exploded");
       },
       cfg);
   std::promise<Result> done;
-  server.submit_async(make_inputs(1)[0], 0,
-                      [&](Result r) { done.set_value(std::move(r)); });
+  gw.submit_async("m", make_inputs(1)[0], kCls, 0,
+                  [&](Result r) { done.set_value(std::move(r)); });
   EXPECT_EQ(done.get_future().get().status, Status::kInternalError);
-  // Future mode still carries the exception itself.
-  auto fut = server.submit(make_inputs(1)[0]);
-  EXPECT_THROW(fut.get(), std::runtime_error);
+  // The future flavor resolves the same way: no exception escapes.
+  EXPECT_EQ(submit(gw, make_inputs(1)[0]).get().status,
+            Status::kInternalError);
+  EXPECT_EQ(gw.metrics().errors[static_cast<std::size_t>(kCls)], 2u);
 }
 
-TEST(Server, QueueCapacityAppliesBackpressure) {
+TEST(OneModelGateway, ClassQueueCapacityAppliesBackpressure) {
   const Network net = make_net();
   const auto inputs = make_inputs(6);
   // Virtual clock: the 2 s window never ticks, so the queue provably
   // backs up until shutdown() drains it.
   VirtualClock vclock;
-  ServerConfig cfg;
-  cfg.max_batch = 64;
-  cfg.batching_window_us = 2'000'000;  // 2 s: requests sit in the queue
-  cfg.workers = 1;
-  cfg.queue_capacity = 4;
-  cfg.clock = &vclock;
-  Server server(net, cfg);
+  GatewayConfig gcfg = one_model_config(1, &vclock);
+  gcfg.classes[static_cast<std::size_t>(kCls)].queue_capacity = 4;
+  Gateway gw(gcfg);
+  ModelConfig cfg;
+  cfg.server.max_batch = 64;
+  cfg.server.batching_window_us = 2'000'000;  // 2 s: requests sit queued
+  cfg.server.workers = 1;
+  gw.register_model("m", net, cfg);
   std::vector<std::future<Result>> futures;
   for (const auto& in : inputs) {
-    futures.push_back(server.submit(in));
+    futures.push_back(submit(gw, in));
   }
-  server.shutdown();  // drains the 4 accepted ones immediately
+  gw.shutdown();  // drains the 4 accepted ones immediately
   std::size_t ok = 0;
   std::size_t rejected = 0;
   for (auto& f : futures) {
@@ -417,33 +470,37 @@ TEST(Server, QueueCapacityAppliesBackpressure) {
 
 // ---------------------------------------------------------------- metrics --
 
-TEST(Server, MetricsSnapshotIsConsistent) {
+TEST(OneModelGateway, MetricsSnapshotIsConsistent) {
   const Network net = make_net();
   const auto inputs = make_inputs(40);
-  ServerConfig cfg;
-  cfg.max_batch = 8;
-  cfg.batching_window_us = 300;
-  cfg.workers = 2;
-  Server server(net, cfg);
+  Gateway gw(one_model_config());
+  ModelConfig cfg;
+  cfg.server.max_batch = 8;
+  cfg.server.batching_window_us = 300;
+  cfg.server.workers = 2;
+  gw.register_model("m", net, cfg);
   std::vector<std::future<Result>> futures;
   for (const auto& in : inputs) {
-    futures.push_back(server.submit(in));
+    futures.push_back(submit(gw, in));
   }
   for (auto& f : futures) {
     ASSERT_EQ(f.get().status, Status::kOk);
   }
-  const auto m = server.metrics();
+  const auto m = model_metrics(gw);
+  const auto c = class_metrics(gw);
   EXPECT_EQ(m.submitted, 40u);
   EXPECT_EQ(m.completed, 40u);
-  EXPECT_GE(m.batches, (40u + cfg.max_batch - 1) / cfg.max_batch);
+  EXPECT_EQ(c.submitted, 40u);
+  EXPECT_EQ(c.completed, 40u);
+  EXPECT_GE(m.batches, (40u + cfg.server.max_batch - 1) / cfg.server.max_batch);
   EXPECT_LE(m.batches, 40u);
-  EXPECT_LE(m.latency_p50_us, m.latency_p95_us);
-  EXPECT_LE(m.latency_p95_us, m.latency_p99_us);
-  EXPECT_LE(m.latency_p99_us, m.latency_max_us);
-  EXPECT_GT(m.latency_mean_us, 0.0);
-  EXPECT_GT(m.throughput_rps, 0.0);
+  EXPECT_LE(c.latency_p50_us, c.latency_p95_us);
+  EXPECT_LE(c.latency_p95_us, c.latency_p99_us);
+  EXPECT_LE(c.latency_p99_us, c.latency_max_us);
+  EXPECT_GT(c.latency_mean_us, 0.0);
+  EXPECT_GT(c.throughput_rps, 0.0);
   EXPECT_GE(m.mean_batch_size, 1.0);
-  EXPECT_GE(m.peak_queue_depth, 1u);
+  EXPECT_GE(c.peak_queue_depth, 1u);
   std::size_t hist_batches = 0;
   std::size_t hist_requests = 0;
   for (std::size_t k = 0; k < m.batch_size_hist.size(); ++k) {
@@ -452,7 +509,7 @@ TEST(Server, MetricsSnapshotIsConsistent) {
   }
   EXPECT_EQ(hist_batches, m.batches);
   EXPECT_EQ(hist_requests, m.completed);  // no deadline losses here
-  EXPECT_FALSE(m.summary().empty());
+  EXPECT_FALSE(c.summary().empty());
 }
 
 // ------------------------------------------- shared-pool / mapped backend --
@@ -484,11 +541,11 @@ TEST(TacitMapElectrical, ExecuteBatchBitIdenticalToSerialLoop) {
   }
 }
 
-// Drives a mapped executor through serve::make_mapped_handler (the
-// MappedExecutor -> BatchHandler adapter): request fan-out, WDM passes and
-// nested crossbar shards all share the server's one re-entrant pool, and
-// with zero noise every served popcount equals the reference regardless of
-// batching, worker count or backend.
+// Drives a mapped executor through the gateway's MappedExecutor
+// registration (serve::make_mapped_handler underneath): request fan-out,
+// WDM passes and nested crossbar shards all share the gateway's one
+// re-entrant pool, and with zero noise every served popcount equals the
+// reference regardless of batching, worker count or backend.
 void serve_mapped_round_trip(
     std::shared_ptr<const map::MappedExecutor> mapped,
     const map::XnorPopcountTask& task, std::size_t max_batch,
@@ -496,15 +553,14 @@ void serve_mapped_round_trip(
   const auto want = task.reference();
   const std::size_t m = task.m();
 
-  ServerConfig cfg;
-  cfg.max_batch = max_batch;
-  cfg.batching_window_us = 500;
-  cfg.workers = workers;  // the handler locks its stream: multi-worker safe
-  cfg.pool_threads = 0;   // EB_THREADS-controlled: CI sweeps 1 and 4
-  Server server(
-      serve::make_mapped_handler(std::move(mapped),
-                                 std::make_shared<dev::NoNoise>()),
-      cfg);
+  // EB_THREADS-controlled pool: CI sweeps 1 and 4.
+  Gateway gw(one_model_config(/*pool_threads=*/0));
+  ModelConfig cfg;
+  cfg.server.max_batch = max_batch;
+  cfg.server.batching_window_us = 500;
+  cfg.server.workers = workers;  // the handler locks its stream: multi-worker safe
+  gw.register_model("m", std::move(mapped), std::make_shared<dev::NoNoise>(),
+                    cfg);
 
   std::vector<std::future<Result>> futures;
   for (const auto& x : task.inputs) {
@@ -512,7 +568,7 @@ void serve_mapped_round_trip(
     for (std::size_t k = 0; k < m; ++k) {
       t[k] = x.get(k) ? 1.0 : 0.0;
     }
-    futures.push_back(server.submit(std::move(t)));
+    futures.push_back(submit(gw, t));
   }
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const Result res = futures[i].get();
@@ -525,7 +581,7 @@ void serve_mapped_round_trip(
   }
 }
 
-TEST(Server, MappedBackendServesBitExactPopcounts) {
+TEST(OneModelGateway, MappedBackendServesBitExactPopcounts) {
   Rng task_rng(33);
   const auto task = map::XnorPopcountTask::random(96, 100, 12, task_rng);
   map::TacitElectricalConfig mcfg;
@@ -535,7 +591,7 @@ TEST(Server, MappedBackendServesBitExactPopcounts) {
       /*max_batch=*/4, /*workers=*/1);
 }
 
-TEST(Server, OpticalBackendServesBitExactPopcounts) {
+TEST(OneModelGateway, OpticalBackendServesBitExactPopcounts) {
   // WDM-aware serving: max_batch exceeds wdm_capacity, so a full batch
   // spans several WDM passes inside one execute_batch call; two workers
   // exercise the handler's locked stream.
@@ -549,7 +605,7 @@ TEST(Server, OpticalBackendServesBitExactPopcounts) {
       /*max_batch=*/6, /*workers=*/2);
 }
 
-TEST(Server, CustBackendServesBitExactPopcounts) {
+TEST(OneModelGateway, CustBackendServesBitExactPopcounts) {
   Rng task_rng(35);
   const auto task = map::XnorPopcountTask::random(64, 48, 8, task_rng);
   map::CustBinaryConfig ccfg;
